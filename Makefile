@@ -1,11 +1,12 @@
 # Developer entry points. `make check` is the tier-1 verification gate;
 # `make race` additionally proves the concurrent data path (piece fan-out,
-# parallel 2PC, buffer pooling) and the harness hot path (wire codec,
-# sharded timer wheel, per-link fabric state) clean under the race detector.
+# parallel 2PC, buffer pooling), the daemons' transport (pooled TCP
+# connections) and the harness hot path (wire codec, sharded timer wheel,
+# per-link fabric state) clean under the race detector.
 
-RACE_PKGS := ./internal/core ./internal/segstore ./internal/provider ./internal/cluster ./internal/wire ./internal/simtime ./internal/simnet ./internal/proxy
+RACE_PKGS := ./internal/core ./internal/segstore ./internal/provider ./internal/cluster ./internal/wire ./internal/simtime ./internal/simnet ./internal/proxy ./internal/transport
 
-.PHONY: check build test vet race bench scrub-chaos bench-scrub
+.PHONY: check build test vet race bench bench-transport scrub-chaos bench-scrub
 
 check: build vet test race
 
@@ -29,6 +30,11 @@ bench:
 bench-harness:
 	go test -run XXX -bench 'BenchmarkCodec' ./internal/wire
 	go test -run XXX -bench 'BenchmarkFabricParallelPairs' ./internal/simnet
+
+# One RPC over loopback TCP on a pooled connection: ns/op and allocs/op for
+# a namespace-sized call, a 12 KiB SegWrite and a 1 MiB SegReadResp.
+bench-transport:
+	go test -run XXX -bench 'BenchmarkTCPCall' -benchmem ./internal/transport
 
 # Harness scaling sweep: CPU per modeled second, heartbeat keep-up, and
 # per-node control bytes at 128/256/512 providers → BENCH_harness.json.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
@@ -21,17 +23,44 @@ import (
 // prefix — the datagram boundary already frames it. Frame buffers come from
 // bufpool and are recycled as soon as the body is decoded (the codec copies
 // all payloads out of the input).
+//
+// Connections: a TCP connection carries any number of request/reply pairs,
+// strictly one at a time. The caller takes an idle connection to the peer
+// out of its node's pool (dialling when none is idle), has it to itself for
+// one request and one reply, and puts it back only after a complete,
+// decodable reply; any other outcome closes it, so a late reply is never
+// read by the next caller. N concurrent calls to one peer use N sockets: a
+// bulk frame never sits in front of a small one, and a deadline ends one
+// call without touching another. Requests are never resent, so an idle
+// connection is probed (connAlive) before a request is written on it, and
+// the caller retires connections idle for clientIdleLife, well before the
+// serving side's serverIdleTimeout: a healthy connection is closed by the
+// side that would otherwise write into it.
 
 // maxFrame bounds a single request or reply body. The largest legitimate
 // message is a SegWrite near the 64 MB segment ceiling; 256 MB leaves
 // headroom while keeping a corrupt length prefix from allocating the moon.
 const maxFrame = 256 << 20
 
+const (
+	// serverIdleTimeout bounds one turn of an accepted connection: the wait
+	// for the next request, reading it and writing its reply.
+	serverIdleTimeout = 5 * time.Minute
+	// clientIdleLife is how long a connection may sit in the pool and still
+	// be reused. It must stay below serverIdleTimeout.
+	clientIdleLife = time.Minute
+	// maxIdlePerPeer caps the pool per peer. A burst of more concurrent
+	// calls still gets a socket each; the excess is closed after use.
+	maxIdlePerPeer = 16
+	// defaultCallTimeout bounds a call whose context has no deadline.
+	defaultCallTimeout = time.Minute
+)
+
 // TCPNode is a real-network endpoint for the cmd/ daemons: requests travel
-// over TCP (length-prefixed binary codec frames), and the multicast channel
-// is emulated by UDP fan-out to the known peer set (seed addresses plus
-// every sender ever heard from — heartbeats make the set converge). A
-// node's ID is its advertised host:port.
+// over pooled TCP connections (length-prefixed binary codec frames), and the
+// multicast channel is emulated by UDP fan-out to the known peer set (seed
+// addresses plus every sender ever heard from — heartbeats make the set
+// converge). A node's ID is its advertised host:port.
 type TCPNode struct {
 	id      wire.NodeID
 	handler Handler
@@ -42,10 +71,22 @@ type TCPNode struct {
 	cli *obs.RPCRecorder // per-type client-side call metrics
 	srv *obs.RPCRecorder // per-type server-side service metrics
 
-	mu     sync.Mutex
-	peers  map[string]bool
-	closed bool
-	wg     sync.WaitGroup
+	closed atomic.Bool
+	wg     sync.WaitGroup // acceptLoop, udpLoop and one serve per accepted connection
+
+	mu sync.Mutex
+	// peers is every address ever added; peerAddrs holds the resolved ones
+	// and only grows, so Multicast walks a snapshot of it without the lock.
+	peers     map[string]struct{}
+	peerAddrs []*net.UDPAddr
+	idle      map[wire.NodeID][]idleConn // per peer, oldest first; nil once closed
+	accepted  map[net.Conn]struct{}      // connections being served
+}
+
+// idleConn is a pooled client connection and when it was put back.
+type idleConn struct {
+	c     *countingConn
+	since time.Time
 }
 
 var _ Endpoint = (*TCPNode)(nil)
@@ -84,19 +125,19 @@ func ListenTCPObs(bind, advertise string, seeds []string, h Handler, o *obs.Obs)
 		return nil, fmt.Errorf("transport: listen udp %s: %w", resolved, err)
 	}
 	n := &TCPNode{
-		id:      wire.NodeID(advertise),
-		handler: h,
-		ln:      ln,
-		udp:     udp,
-		obs:     o,
-		cli:     obs.NewRPCRecorder(o.Reg(), "client", advertise),
-		srv:     obs.NewRPCRecorder(o.Reg(), "server", advertise),
-		peers:   make(map[string]bool),
+		id:       wire.NodeID(advertise),
+		handler:  h,
+		ln:       ln,
+		udp:      udp,
+		obs:      o,
+		cli:      obs.NewRPCRecorder(o.Reg(), "client", advertise),
+		srv:      obs.NewRPCRecorder(o.Reg(), "server", advertise),
+		peers:    make(map[string]struct{}),
+		idle:     make(map[wire.NodeID][]idleConn),
+		accepted: make(map[net.Conn]struct{}),
 	}
 	for _, s := range seeds {
-		if s != "" && s != advertise {
-			n.peers[s] = true
-		}
+		n.AddPeer(s)
 	}
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -192,7 +233,7 @@ func (n *TCPNode) call(ctx context.Context, to wire.NodeID, req any) (any, error
 }
 
 func (n *TCPNode) doCall(ctx context.Context, to wire.NodeID, req any) (resp any, sent, recv int, err error) {
-	if n.isClosed() {
+	if n.closed.Load() {
 		return nil, 0, 0, ErrClosed
 	}
 	var trace, span uint64
@@ -203,26 +244,25 @@ func (n *TCPNode) doCall(ctx context.Context, to wire.NodeID, req any) (resp any
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	d := net.Dialer{}
-	raw, err := d.DialContext(ctx, "tcp", string(to))
+	conn, err := n.checkOut(ctx, to)
 	if err != nil {
 		bufpool.Put(frame)
 		return nil, 0, 0, fmt.Errorf("%w: dial %s: %v", ErrTimeout, to, err)
 	}
-	conn := &countingConn{Conn: raw}
+	wr0, rd0 := conn.wr, conn.rd
+	reusable := false
 	defer func() {
-		conn.Close()
-		sent, recv = int(conn.wr), int(conn.rd)
+		sent, recv = int(conn.wr-wr0), int(conn.rd-rd0)
+		if reusable {
+			n.checkIn(to, conn)
+		} else {
+			conn.Close()
+		}
 	}()
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	} else {
-		conn.SetDeadline(time.Now().Add(60 * time.Second))
-	}
 	_, werr := conn.Write(frame)
 	bufpool.Put(frame)
 	if werr != nil {
-		return nil, 0, 0, fmt.Errorf("transport: send to %s: %w", to, werr)
+		return nil, 0, 0, fmt.Errorf("%w: send to %s: %v", ErrTimeout, to, werr)
 	}
 	rbuf, err := readFrame(conn)
 	if err != nil {
@@ -233,16 +273,92 @@ func (n *TCPNode) doCall(ctx context.Context, to wire.NodeID, req any) (resp any
 	if derr != nil {
 		return nil, 0, 0, fmt.Errorf("transport: reply from %s: %w", to, derr)
 	}
+	reusable = true
 	if errStr != "" {
 		return nil, 0, 0, fmt.Errorf("transport: remote %s: %s", to, errStr)
 	}
 	return msg, 0, 0, nil
 }
 
+// checkOut returns a connection to peer for one call, its deadline set from
+// ctx: the most recently used idle one that passes connAlive, else a new
+// one. An expired ctx fails here, before it can make healthy pooled
+// connections look dead.
+func (n *TCPNode) checkOut(ctx context.Context, to wire.NodeID) (*countingConn, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	now := time.Now()
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = now.Add(defaultCallTimeout)
+	} else if !deadline.After(now) {
+		return nil, context.DeadlineExceeded
+	}
+	for {
+		c := n.takeIdle(to, now)
+		if c == nil {
+			break
+		}
+		c.SetDeadline(deadline)
+		if connAlive(c.Conn) {
+			return c, nil
+		}
+		c.Close()
+	}
+	var d net.Dialer
+	raw, err := d.DialContext(ctx, "tcp", string(to))
+	if err != nil {
+		return nil, err
+	}
+	raw.SetDeadline(deadline)
+	return &countingConn{Conn: raw}, nil
+}
+
+// takeIdle pops the newest idle connection to peer, after closing every one
+// that has been idle for clientIdleLife. Taking the newest lets the surplus
+// left by a burst age out at the bottom of the stack.
+func (n *TCPNode) takeIdle(to wire.NodeID, now time.Time) *countingConn {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s := n.idle[to]
+	if len(s) == 0 {
+		return nil
+	}
+	k := 0
+	for k < len(s) && now.Sub(s[k].since) >= clientIdleLife {
+		s[k].c.Close()
+		k++
+	}
+	s = slices.Delete(s, 0, k)
+	var c *countingConn
+	if last := len(s) - 1; last >= 0 {
+		c = s[last].c
+		s = slices.Delete(s, last, last+1)
+	}
+	n.idle[to] = s // kept when empty: checkIn appends into its capacity
+	return c
+}
+
+// checkIn returns a connection to the pool after a complete reply, or
+// closes it when the pool is full or the node closed meanwhile.
+func (n *TCPNode) checkIn(to wire.NodeID, c *countingConn) {
+	n.mu.Lock()
+	s := n.idle[to]
+	keep := !n.closed.Load() && len(s) < maxIdlePerPeer
+	if keep {
+		n.idle[to] = append(s, idleConn{c, time.Now()})
+	}
+	n.mu.Unlock()
+	if !keep {
+		c.Close()
+	}
+}
+
 // Multicast implements Endpoint via UDP fan-out to the known peers. The
 // datagram is an unprefixed envelope body.
 func (n *TCPNode) Multicast(msg any) {
-	if n.isClosed() {
+	if n.closed.Load() {
 		return
 	}
 	sz, ok := wire.EnvelopeSize(n.id, msg)
@@ -256,17 +372,10 @@ func (n *TCPNode) Multicast(msg any) {
 		return
 	}
 	n.mu.Lock()
-	peers := make([]string, 0, len(n.peers))
-	for p := range n.peers {
-		peers = append(peers, p)
-	}
+	addrs := n.peerAddrs
 	n.mu.Unlock()
 	sent := 0
-	for _, p := range peers {
-		addr, err := net.ResolveUDPAddr("udp", p)
-		if err != nil {
-			continue
-		}
+	for _, addr := range addrs {
 		if _, err := n.udp.WriteToUDP(buf, addr); err == nil {
 			sent += len(buf)
 		}
@@ -284,35 +393,54 @@ func (n *TCPNode) WarmRPC(msgs ...any) {
 	n.srv.Warm(msgs...)
 }
 
-// AddPeer adds an address to the multicast peer set.
+// AddPeer adds an address to the multicast peer set, resolving it once. An
+// address that does not resolve is tried again the next time it is added.
 func (n *TCPNode) AddPeer(addr string) {
 	if addr == "" || addr == string(n.id) {
 		return
 	}
 	n.mu.Lock()
-	n.peers[addr] = true
+	_, known := n.peers[addr]
+	n.mu.Unlock()
+	if known {
+		return
+	}
+	uaddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return
+	}
+	n.mu.Lock()
+	if _, known := n.peers[addr]; !known {
+		n.peers[addr] = struct{}{}
+		n.peerAddrs = append(n.peerAddrs, uaddr)
+	}
 	n.mu.Unlock()
 }
 
-// Close implements Endpoint.
+// Close implements Endpoint. It closes the listeners, every idle pooled
+// connection and every accepted connection, so peers holding idle
+// connections to this node see end of file at once, and returns when the
+// node's goroutines have exited; one that is inside a handler exits when
+// the handler returns.
 func (n *TCPNode) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if n.closed.Swap(true) {
 		return nil
 	}
-	n.closed = true
-	n.mu.Unlock()
 	n.ln.Close()
 	n.udp.Close()
+	n.mu.Lock()
+	for _, s := range n.idle {
+		for _, ic := range s {
+			ic.c.Close()
+		}
+	}
+	n.idle = nil
+	for c := range n.accepted {
+		c.Close()
+	}
+	n.mu.Unlock()
 	n.wg.Wait()
 	return nil
-}
-
-func (n *TCPNode) isClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.closed
 }
 
 func (n *TCPNode) acceptLoop() {
@@ -322,54 +450,84 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return
 		}
+		n.mu.Lock()
+		if n.closed.Load() {
+			n.mu.Unlock()
+			conn.Close()
+			return
+		}
+		n.accepted[conn] = struct{}{}
+		n.wg.Add(1)
+		n.mu.Unlock()
 		go n.serve(conn)
 	}
 }
 
+// serve answers the requests arriving on one accepted connection, one at a
+// time, until the peer closes it, the node closes, or a turn leaves the
+// caller without a complete reply. A handler error is not such a turn: it
+// travels in a reply like any result.
 func (n *TCPNode) serve(raw net.Conn) {
+	defer n.wg.Done()
 	conn := &countingConn{Conn: raw}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Minute))
-	fbuf, err := readFrame(conn)
-	if err != nil {
-		return
+	defer func() {
+		conn.Close()
+		n.mu.Lock()
+		delete(n.accepted, raw)
+		n.mu.Unlock()
+	}()
+	var learned wire.NodeID // the sender already in the peer set
+	for {
+		conn.SetDeadline(time.Now().Add(serverIdleTimeout))
+		wr0, rd0 := conn.wr, conn.rd
+		fbuf, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		from, trace, span, req, err := wire.DecodeEnvelope(fbuf)
+		bufpool.Put(fbuf)
+		if err != nil || n.closed.Load() {
+			return
+		}
+		if from != learned {
+			n.AddPeer(string(from))
+			learned = from
+		}
+		ctx := context.Background()
+		var sp *obs.Span
+		if trace != 0 {
+			ctx = obs.ContextWith(ctx, obs.SpanContext{TraceID: trace, SpanID: span})
+			ctx, sp = n.obs.Tr().Start(ctx, string(n.id), "serve:"+obs.MsgTypeName(req))
+		}
+		start := time.Now()
+		resp, herr := n.handler.HandleCall(ctx, from, req)
+		sp.SetError(herr)
+		sp.End()
+		errStr := ""
+		if herr != nil {
+			errStr = herr.Error()
+		}
+		if resp != nil && !wire.Encodable(resp) {
+			errStr = fmt.Sprintf("transport: unencodable response %T", resp)
+			resp = nil
+		}
+		sz, _ := wire.ReplySize(resp, errStr)
+		if sz > maxFrame {
+			resp, errStr = nil, "transport: oversized response"
+			sz, _ = wire.ReplySize(resp, errStr)
+		}
+		rbuf := bufpool.Get(4 + sz)[:4]
+		binary.BigEndian.PutUint32(rbuf, uint32(sz))
+		rbuf, err = wire.AppendReply(rbuf, resp, errStr)
+		if err == nil {
+			_, err = conn.Write(rbuf)
+		}
+		bufpool.Put(rbuf)
+		n.srv.Observe(req, int(conn.wr-wr0), int(conn.rd-rd0), time.Since(start), herr)
+		if err != nil {
+			return
+		}
 	}
-	from, trace, span, req, err := wire.DecodeEnvelope(fbuf)
-	bufpool.Put(fbuf)
-	if err != nil {
-		return
-	}
-	n.AddPeer(string(from))
-	ctx := context.Background()
-	var sp *obs.Span
-	if trace != 0 {
-		ctx = obs.ContextWith(ctx, obs.SpanContext{TraceID: trace, SpanID: span})
-		ctx, sp = n.obs.Tr().Start(ctx, string(n.id), "serve:"+obs.MsgTypeName(req))
-	}
-	start := time.Now()
-	resp, herr := n.handler.HandleCall(ctx, from, req)
-	sp.SetError(herr)
-	sp.End()
-	errStr := ""
-	if herr != nil {
-		errStr = herr.Error()
-	}
-	if resp != nil && !wire.Encodable(resp) {
-		errStr = fmt.Sprintf("transport: unencodable response %T", resp)
-		resp = nil
-	}
-	sz, _ := wire.ReplySize(resp, errStr)
-	if sz > maxFrame {
-		resp, errStr = nil, "transport: oversized response"
-		sz, _ = wire.ReplySize(resp, errStr)
-	}
-	rbuf := bufpool.Get(4 + sz)[:4]
-	binary.BigEndian.PutUint32(rbuf, uint32(sz))
-	if rbuf, err = wire.AppendReply(rbuf, resp, errStr); err == nil {
-		conn.Write(rbuf)
-	}
-	bufpool.Put(rbuf)
-	n.srv.Observe(req, int(conn.wr), int(conn.rd), time.Since(start), herr)
 }
 
 func (n *TCPNode) udpLoop() {

@@ -2,7 +2,11 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,16 +126,321 @@ func TestTCPPeerLearning(t *testing.T) {
 }
 
 func TestTCPClosedNodeRejectsCalls(t *testing.T) {
+	before := runtime.NumGoroutine()
 	a, err := ListenTCP("127.0.0.1:0", "", nil, &tcpEcho{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var served atomic.Int64
+	b := listen(t, CallFunc(func(_ context.Context, _ wire.NodeID, req any) (any, error) {
+		served.Add(1)
+		return req, nil
+	}))
+	if _, err := a.Call(context.Background(), b.ID(), wire.SegRead{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(idleTo(a, b.ID())); got != 1 {
+		t.Fatalf("%d idle connections after one call, want 1", got)
+	}
+
+	// Calls to a node closed while the caller holds an idle connection to it
+	// fail at once: the caller sees the end of file before it writes, finds
+	// nobody listening, and never waits out the 60 s default deadline.
+	b.Close()
+	start := time.Now()
+	_, err = a.Call(context.Background(), b.ID(), wire.SegRead{})
+	if !errors.Is(err, ErrTimeout) {
+		t.Errorf("call to closed node: err = %v, want ErrTimeout", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("call to closed node took %v", d)
+	}
+	if got := served.Load(); got != 1 {
+		t.Errorf("closed node's handler ran %d times, want 1", got)
+	}
+
+	// Calls from a closed node.
 	a.Close()
 	if _, err := a.Call(context.Background(), "127.0.0.1:1", wire.SegRead{}); err != ErrClosed {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
 	// Idempotent close.
 	a.Close()
+
+	// Close waited for every goroutine of both nodes.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after both nodes closed, %d before they started", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// listen starts a node on a fresh loopback port and closes it with the test.
+func listen(t testing.TB, h Handler) *TCPNode {
+	t.Helper()
+	n, err := ListenTCP("127.0.0.1:0", "", nil, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// idleTo returns a copy of n's idle connections to peer.
+func idleTo(n *TCPNode, peer wire.NodeID) []idleConn {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]idleConn(nil), n.idle[peer]...)
+}
+
+func acceptedBy(n *TCPNode) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.accepted)
+}
+
+func TestTCPSequentialCallsShareOneConnection(t *testing.T) {
+	a, b := listen(t, &tcpEcho{}), listen(t, &tcpEcho{})
+	const calls = 1000
+	var first *countingConn
+	var frame int64
+	for i := 0; i < calls; i++ {
+		if _, err := a.Call(context.Background(), b.ID(), wire.SegRead{Offset: 7}); err != nil {
+			t.Fatal(err)
+		}
+		idle := idleTo(a, b.ID())
+		if len(idle) != 1 {
+			t.Fatalf("call %d: %d idle connections, want 1", i, len(idle))
+		}
+		if i == 0 {
+			first, frame = idle[0].c, idle[0].c.wr
+		} else if idle[0].c != first {
+			t.Fatalf("call %d went over a new connection", i)
+		}
+	}
+	// Every request frame went out on the one connection, so the peer
+	// accepted exactly once.
+	if first.wr != calls*frame {
+		t.Errorf("pooled connection carried %d request bytes, want %d x %d", first.wr, calls, frame)
+	}
+	if got := acceptedBy(b); got != 1 {
+		t.Errorf("peer serves %d connections, want 1", got)
+	}
+}
+
+func TestTCPConcurrentCallsDoNotShareAConnection(t *testing.T) {
+	const callers = 8
+	var arrived sync.WaitGroup
+	arrived.Add(callers)
+	// The handler returns only once all callers are inside it: calls queued
+	// behind one another on a shared socket would never get there.
+	b := listen(t, CallFunc(func(ctx context.Context, _ wire.NodeID, req any) (any, error) {
+		arrived.Done()
+		arrived.Wait()
+		return req, nil
+	}))
+	a := listen(t, &tcpEcho{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func(i int) {
+			resp, err := a.Call(ctx, b.ID(), wire.SegRead{Offset: int64(i)})
+			if err == nil && resp.(wire.SegRead).Offset != int64(i) {
+				err = fmt.Errorf("caller %d got %+v", i, resp)
+			}
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := len(idleTo(a, b.ID())); got != callers {
+		t.Errorf("%d idle connections after %d concurrent calls (cap %d)", got, callers, maxIdlePerPeer)
+	}
+}
+
+// checkOutN takes n connections to peer out of a's pool at once.
+func checkOutN(t *testing.T, a *TCPNode, peer wire.NodeID, n int) []*countingConn {
+	t.Helper()
+	conns := make([]*countingConn, n)
+	for i := range conns {
+		c, err := a.checkOut(context.Background(), peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	return conns
+}
+
+func TestTCPIdlePoolIsCapped(t *testing.T) {
+	a, b := listen(t, &tcpEcho{}), listen(t, &tcpEcho{})
+	for _, c := range checkOutN(t, a, b.ID(), maxIdlePerPeer+3) {
+		a.checkIn(b.ID(), c)
+	}
+	if got := len(idleTo(a, b.ID())); got != maxIdlePerPeer {
+		t.Errorf("%d idle connections, want the cap %d", got, maxIdlePerPeer)
+	}
+}
+
+func TestTCPIdleConnectionsExpire(t *testing.T) {
+	a, b := listen(t, &tcpEcho{}), listen(t, &tcpEcho{})
+	conns := checkOutN(t, a, b.ID(), 3)
+	for _, c := range conns {
+		a.checkIn(b.ID(), c)
+	}
+	// The two oldest have been idle too long; the newest is reused.
+	a.mu.Lock()
+	for i := range a.idle[b.ID()][:2] {
+		a.idle[b.ID()][i].since = time.Now().Add(-clientIdleLife)
+	}
+	a.mu.Unlock()
+	got := a.takeIdle(b.ID(), time.Now())
+	if got != conns[2] {
+		t.Error("takeIdle did not return the newest connection")
+	}
+	if left := len(idleTo(a, b.ID())); left != 0 {
+		t.Errorf("%d idle connections left, want 0", left)
+	}
+	if connAlive(conns[0].Conn) {
+		t.Error("expired connection was not closed")
+	}
+	got.Close()
+}
+
+func TestTCPPeerRestartBetweenCalls(t *testing.T) {
+	var ran [2]atomic.Int64 // per incarnation of the peer
+	counting := func(k int) Handler {
+		return CallFunc(func(_ context.Context, _ wire.NodeID, req any) (any, error) {
+			ran[k].Add(1)
+			return req, nil
+		})
+	}
+	a := listen(t, &tcpEcho{})
+	b, err := ListenTCP("127.0.0.1:0", "", nil, counting(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := b.ID()
+	if _, err := a.Call(context.Background(), addr, wire.SegRead{Offset: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	b2, err := ListenTCP(string(addr), "", nil, counting(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	// The pooled connection to the first incarnation is found dead before
+	// anything is written on it; the request goes to the second, once.
+	resp, err := a.Call(context.Background(), addr, wire.SegRead{Offset: 2})
+	if err != nil {
+		t.Fatalf("call after peer restart: %v", err)
+	}
+	if got := resp.(wire.SegRead).Offset; got != 2 {
+		t.Errorf("reply offset %d, want 2", got)
+	}
+	if r0, r1 := ran[0].Load(), ran[1].Load(); r0 != 1 || r1 != 1 {
+		t.Errorf("handlers ran %d and %d times, want 1 and 1", r0, r1)
+	}
+}
+
+func TestTCPLateReplyNeverReachesNextCall(t *testing.T) {
+	release := make(chan struct{})
+	replied := make(chan struct{})
+	b := listen(t, CallFunc(func(_ context.Context, _ wire.NodeID, req any) (any, error) {
+		if _, slow := req.(wire.SegRead); slow {
+			defer close(replied)
+			<-release
+		}
+		return req, nil
+	}))
+	a := listen(t, &tcpEcho{})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := a.Call(ctx, b.ID(), wire.SegRead{Offset: 1}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("slow call: err = %v, want ErrTimeout", err)
+	}
+	if got := len(idleTo(a, b.ID())); got != 0 {
+		t.Errorf("%d idle connections after a timed-out call, want 0", got)
+	}
+	close(release)
+	<-replied // the late reply is on its way to a connection nobody reads
+	resp, err := a.Call(context.Background(), b.ID(), wire.SegDelete{Seg: [16]byte{9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := resp.(wire.SegDelete); !ok || got.Seg != [16]byte{9} {
+		t.Errorf("second call got %#v, want its own SegDelete echo", resp)
+	}
+}
+
+func TestTCPHandlerErrorKeepsConnection(t *testing.T) {
+	b := listen(t, CallFunc(func(_ context.Context, _ wire.NodeID, req any) (any, error) {
+		if _, bad := req.(wire.SegDelete); bad {
+			return nil, errors.New("no such segment")
+		}
+		return req, nil
+	}))
+	a := listen(t, &tcpEcho{})
+	_, err := a.Call(context.Background(), b.ID(), wire.SegDelete{})
+	if err == nil || errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want the handler's error", err)
+	}
+	idle := idleTo(a, b.ID())
+	if len(idle) != 1 {
+		t.Fatalf("%d idle connections after an error reply, want 1", len(idle))
+	}
+	if _, err := a.Call(context.Background(), b.ID(), wire.SegRead{}); err != nil {
+		t.Fatal(err)
+	}
+	if again := idleTo(a, b.ID()); len(again) != 1 || again[0].c != idle[0].c {
+		t.Error("call after an error reply did not reuse the connection")
+	}
+}
+
+// BenchmarkTCPCall measures one call over loopback on a pooled connection:
+// a namespace-sized request and reply, a 12 KiB segment write, and a 1 MiB
+// segment read reply.
+func BenchmarkTCPCall(b *testing.B) {
+	small := make([]byte, 12<<10)
+	big := make([]byte, 1<<20)
+	readResp := wire.SegReadResp{OK: true, Version: 1, Data: big, Sum: wire.SumOf(big)}
+	srv := listen(b, CallFunc(func(_ context.Context, _ wire.NodeID, req any) (any, error) {
+		switch req.(type) {
+		case wire.NSLookup:
+			return wire.NSLookupResp{OK: true}, nil
+		case wire.SegWrite:
+			return wire.SegWriteResp{OK: true, N: len(small)}, nil
+		default:
+			return readResp, nil
+		}
+	}))
+	cli := listen(b, &tcpEcho{})
+	for _, bc := range []struct {
+		name  string
+		req   any
+		bytes int
+	}{
+		{"small", wire.NSLookup{Path: "/c0/g1/f0000001"}, 0},
+		{"SegWrite_12KiB", wire.SegWrite{Owner: "127.0.0.1:7001#1", Seg: [16]byte{1}, Data: small}, len(small)},
+		{"SegReadResp_1MiB", wire.SegRead{Seg: [16]byte{1}, Length: 1 << 20}, len(big)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(bc.bytes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cli.Call(context.Background(), srv.ID(), bc.req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestTCPNetworkJoin(t *testing.T) {
