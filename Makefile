@@ -6,9 +6,9 @@
 
 RACE_PKGS := ./internal/core ./internal/segstore ./internal/provider ./internal/cluster ./internal/wire ./internal/simtime ./internal/simnet ./internal/proxy ./internal/transport
 
-.PHONY: check build test vet race bench bench-transport scrub-chaos bench-scrub
+.PHONY: check build test vet gob-guard race regress bench bench-transport scrub-chaos bench-scrub
 
-check: build vet test race
+check: build vet gob-guard test race
 
 build:
 	go build ./...
@@ -19,16 +19,32 @@ test:
 vet:
 	go vet ./...
 
+# encoding/gob stays off the data path: outside tests ({{.Imports}} leaves
+# test files out) only the namespace WAL/snapshot and trace files may use it.
+gob-guard:
+	@bad=$$(go list -f '{{.ImportPath}} {{.Imports}}' ./... | grep -w 'encoding/gob' | cut -d' ' -f1 | \
+		grep -v -x -e repro/internal/namespace -e repro/internal/trace); \
+	if [ -n "$$bad" ]; then echo "encoding/gob imported outside internal/namespace and internal/trace:"; echo "$$bad"; exit 1; fi
+
 race:
 	go test -race $(RACE_PKGS)
+
+# Regressions that need many runs to show: a write after Sync must find the
+# segment its own client just committed (ROADMAP item 1, writer half), and
+# Provider.Stop must survive handlers that keep spawning work.
+regress:
+	go test ./internal/cluster -run 'TestGrowingFileAcrossManySegments$$' -count=200
+	go test ./internal/provider -run 'TestStopUnderLocationStorm$$' -race -count=50
 
 # Parallel data-path microbenchmarks (modeled MB/s per stripe width).
 bench:
 	go test -run XXX -bench 'BenchmarkParallelStriped' -benchtime 3x .
 
-# Codec and fabric microbenchmarks (binary-vs-gob, parallel-pair scaling).
+# Codec and fabric microbenchmarks (binary-vs-gob, index segment,
+# parallel-pair scaling).
 bench-harness:
-	go test -run XXX -bench 'BenchmarkCodec' ./internal/wire
+	go test -run XXX -bench 'BenchmarkCodec' -benchmem ./internal/wire
+	go test -run XXX -bench 'BenchmarkIndexCodec' -benchmem ./internal/layout
 	go test -run XXX -bench 'BenchmarkFabricParallelPairs' ./internal/simnet
 
 # One RPC over loopback TCP on a pooled connection: ns/op and allocs/op for

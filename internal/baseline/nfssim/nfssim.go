@@ -12,7 +12,6 @@ package nfssim
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -84,15 +83,6 @@ func (m reqWrite) WireSize() int { return 96 + len(m.Data) }
 
 // WireSize implements wire.Sizer.
 func (m respRead) WireSize() int { return 96 + len(m.Data) }
-
-func init() {
-	for _, m := range []any{
-		reqCreate{}, reqMkdir{}, reqRemove{}, reqLookup{}, reqRead{}, reqWrite{},
-		respGeneric{}, respRead{},
-	} {
-		gob.Register(m)
-	}
-}
 
 // Server is the NFS server daemon.
 type Server struct {

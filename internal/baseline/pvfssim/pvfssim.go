@@ -14,7 +14,6 @@ package pvfssim
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -117,15 +116,6 @@ func (m iodWrite) WireSize() int { return 96 + len(m.Data) }
 
 // WireSize implements wire.Sizer.
 func (m iodResp) WireSize() int { return 96 + len(m.Data) }
-
-func init() {
-	for _, m := range []any{
-		mdsCreate{}, mdsLookup{}, mdsRemove{}, mdsMkdir{}, mdsSize{}, mdsResp{},
-		iodRead{}, iodWrite{}, iodRemove{}, iodResp{},
-	} {
-		gob.Register(m)
-	}
-}
 
 // Deployment is a running PVFS instance (MDS + IODs).
 type Deployment struct {

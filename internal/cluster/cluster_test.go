@@ -673,69 +673,3 @@ func TestOpenVersionValidation(t *testing.T) {
 		t.Fatal("opened a future version")
 	}
 }
-
-func TestNFSStyleHandleAPI(t *testing.T) {
-	c := testCluster(t, 4)
-	cl := newClient(t, c, "c1")
-
-	root := cl.RootHandle()
-	if !root.IsDir() {
-		t.Fatal("root not a directory")
-	}
-	dir, err := cl.MkdirHandle(root, "data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh, err := cl.CreateHandle(dir, "blob", wire.DefaultAttrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.WriteHandle(fh, []byte("handle payload"), 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 14)
-	if _, err := cl.ReadHandle(fh, buf, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if string(buf) != "handle payload" {
-		t.Fatalf("read %q", buf)
-	}
-
-	// LOOKUP resolves the same object.
-	got, err := cl.LookupHandle(dir, "blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	attrs, err := cl.GetAttr(got)
-	if err != nil || attrs.Size != 14 {
-		t.Fatalf("GetAttr = %+v, %v", attrs, err)
-	}
-
-	// READDIR lists it.
-	entries, err := cl.ReadDirHandle(dir)
-	if err != nil || len(entries) != 1 || entries[0].Name != "blob" {
-		t.Fatalf("readdir = %+v, %v", entries, err)
-	}
-
-	// Remove + recreate: the old handle must go stale (NFS semantics).
-	if err := cl.RemoveHandle(dir, "blob"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.CreateHandle(dir, "blob", wire.DefaultAttrs()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.ReadHandle(fh, buf, 0); !errors.Is(err, core.ErrStaleHandle) {
-		t.Fatalf("stale handle read err = %v", err)
-	}
-
-	// Misuse guards.
-	if _, err := cl.LookupHandle(fh, "x"); err == nil {
-		t.Error("lookup in file handle succeeded")
-	}
-	if _, err := cl.LookupHandle(dir, "a/b"); err == nil {
-		t.Error("multi-component lookup succeeded")
-	}
-	if _, err := cl.ReadHandle(dir, buf, 0); err == nil {
-		t.Error("read on directory handle succeeded")
-	}
-}

@@ -225,15 +225,12 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 			}
 		}
 	}
-	encoded, err := f.idx.Encode()
+	encoded := f.idx.Encode()
 	size := f.idx.Size
 	if f.idx.IsAttached() {
 		size = int64(len(f.idx.Attached))
 	}
 	f.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	indexNode, err := f.writeIndexShadow(ctx, encoded)
 	if err != nil {
 		return err
@@ -292,13 +289,23 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 	}
 
 	// Session state rolls forward onto the new version; the journal has
-	// served its purpose once the commit is acknowledged.
+	// served its purpose once the commit is acknowledged. The owner cache
+	// restarts from what this commit proved — every dirty segment is current
+	// on its shadow's node — so the next write does not depend on how much
+	// of the announcement the home host has absorbed.
 	f.mu.Lock()
 	f.baseVer = newVer
 	f.entry.Version = newVer
+	f.owners = make(map[ids.SegID][]wire.OwnerInfo, len(f.dirty))
+	for seg, d := range f.dirty {
+		ver := newVer // the index segment
+		if pl, ok := planned[seg]; ok {
+			ver = pl.ver
+		}
+		f.owners[seg] = []wire.OwnerInfo{{Node: d.node, Version: ver}}
+	}
 	f.dirty = make(map[ids.SegID]*dirtySeg)
 	f.indexDirty = false
-	f.owners = make(map[ids.SegID][]wire.OwnerInfo)
 	f.journal = nil
 	f.journalSize = 0
 	f.mu.Unlock()

@@ -52,11 +52,8 @@ func (f *File) materializeDirect() error {
 		return err
 	}
 	f.mu.Lock()
-	encoded, eerr := f.idx.Encode()
+	encoded := f.idx.Encode()
 	f.mu.Unlock()
-	if eerr != nil {
-		return eerr
-	}
 	indexNode, err := f.writeIndexShadow(context.Background(), encoded)
 	if err != nil {
 		return err

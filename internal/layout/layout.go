@@ -7,8 +7,7 @@
 package layout
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -88,8 +87,9 @@ type Index struct {
 	StripeCount int   // Striped/Hybrid
 	StripeUnit  int64 // Striped/Hybrid
 	Sizing      Sizing
-	// HasAttached marks the payload as attached inside the index (gob drops
-	// empty slices, so presence needs an explicit flag).
+	// HasAttached marks the payload as attached inside the index (an empty
+	// attached file and a segmented one both have no Attached bytes, so
+	// presence needs an explicit flag).
 	HasAttached bool
 	// Attached holds the whole file payload for small files (≤ MaxAttach);
 	// meaningful only when HasAttached is set, in which case Segs is empty.
@@ -110,6 +110,7 @@ var (
 	ErrNeedSize    = errors.New("layout: striped mode requires a declared size")
 	ErrBadStripe   = errors.New("layout: stripe parameters must be positive")
 	ErrNotAttached = errors.New("layout: file has no attached payload")
+	ErrBadIndex    = errors.New("layout: malformed index segment")
 )
 
 // NewIndex builds an empty index for the given attributes. Striped mode
@@ -330,22 +331,106 @@ func (x *Index) hybridCapacity() int64 {
 	return cum
 }
 
+// Index segment format: one format byte, then the fields of Index in
+// declaration order — fixed-width little-endian integers (int and int64 as 8
+// bytes), a u32 count before Segs (32 bytes per SegRef), a strict 0/1 byte
+// for HasAttached, and a u32 length before Attached, which as the last field
+// must account for every remaining byte. These are the conventions of
+// internal/wire/codec.go. There is one format and no fallback: segment stores
+// are in-memory, so no index payload outlives the processes that wrote it.
+const (
+	indexFormat = 1
+	indexHead   = 1 + 1 + 8 + 4       // format, Mode, Size, len(Segs)
+	segRefSize  = 16 + 8 + 8          // ID, Version, Size
+	indexTail   = 8 + 8 + 4*8 + 1 + 4 // StripeCount, StripeUnit, Sizing, HasAttached, len(Attached)
+)
+
 // Encode serializes the index for storage in the index segment.
-func (x *Index) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(x); err != nil {
-		return nil, fmt.Errorf("layout: encode index: %w", err)
+func (x *Index) Encode() []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 0, indexHead+len(x.Segs)*segRefSize+indexTail+len(x.Attached))
+	b = append(b, indexFormat, byte(x.Mode))
+	b = le.AppendUint64(b, uint64(x.Size))
+	b = le.AppendUint32(b, uint32(len(x.Segs)))
+	for i := range x.Segs {
+		b = append(b, x.Segs[i].ID[:]...)
+		b = le.AppendUint64(b, x.Segs[i].Version)
+		b = le.AppendUint64(b, uint64(x.Segs[i].Size))
 	}
-	return buf.Bytes(), nil
+	b = le.AppendUint64(b, uint64(x.StripeCount))
+	b = le.AppendUint64(b, uint64(x.StripeUnit))
+	b = le.AppendUint64(b, uint64(x.Sizing.Unit))
+	b = le.AppendUint64(b, uint64(x.Sizing.Max))
+	b = le.AppendUint64(b, uint64(x.Sizing.Base))
+	b = le.AppendUint64(b, uint64(x.Sizing.Period))
+	if x.HasAttached {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = le.AppendUint32(b, uint32(len(x.Attached)))
+	return append(b, x.Attached...)
 }
 
-// Decode parses an index segment payload.
+// Decode parses an index segment payload. The payload comes from a storage
+// provider, so everything later code divides by or branches on is checked
+// here.
 func Decode(data []byte) (*Index, error) {
-	var x Index
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&x); err != nil {
-		return nil, fmt.Errorf("layout: decode index: %w", err)
+	le := binary.LittleEndian
+	i64 := func(b []byte) int64 { return int64(le.Uint64(b)) }
+	if len(data) < indexHead+indexTail {
+		return badIndex("%d bytes is shorter than an empty index", len(data))
 	}
-	return &x, nil
+	if data[0] != indexFormat {
+		return badIndex("unknown format %d", data[0])
+	}
+	x := &Index{Mode: wire.LayoutMode(data[1]), Size: i64(data[2:])}
+	nseg := le.Uint32(data[10:])
+	b := data[indexHead:]
+	if uint64(nseg) > uint64(len(b)-indexTail)/segRefSize {
+		return badIndex("%d segments do not fit in %d bytes", nseg, len(data))
+	}
+	if nseg > 0 {
+		x.Segs = make([]SegRef, nseg)
+		for i := range x.Segs {
+			copy(x.Segs[i].ID[:], b)
+			x.Segs[i].Version = le.Uint64(b[16:])
+			x.Segs[i].Size = i64(b[24:])
+			b = b[segRefSize:]
+		}
+	}
+	x.StripeCount = int(i64(b))
+	x.StripeUnit = i64(b[8:])
+	x.Sizing = Sizing{Unit: i64(b[16:]), Max: i64(b[24:]), Base: i64(b[32:]), Period: int(i64(b[40:]))}
+	if b[48] > 1 {
+		return badIndex("presence byte %d", b[48])
+	}
+	x.HasAttached = b[48] == 1
+	attached := b[indexTail:]
+	if n := le.Uint32(b[49:]); uint64(n) != uint64(len(attached)) {
+		return badIndex("attached length %d but %d bytes remain", n, len(attached))
+	}
+
+	switch {
+	case x.Mode > wire.Hybrid:
+		return badIndex("mode %d", x.Mode)
+	case x.Sizing.Unit <= 0 || x.Sizing.Max <= 0 || x.Sizing.Base <= 0 || x.Sizing.Period <= 0:
+		return badIndex("sizing %+v", x.Sizing)
+	case x.Mode != wire.Linear && (x.StripeCount <= 0 || x.StripeUnit <= 0):
+		return badIndex("%v with stripe count %d, unit %d", x.Mode, x.StripeCount, x.StripeUnit)
+	case len(attached) > MaxAttach:
+		return badIndex("%d attached bytes", len(attached))
+	case x.HasAttached && len(x.Segs) > 0:
+		return badIndex("attached payload and %d segments", len(x.Segs))
+	}
+	// The client overwrites Attached in place, and data may alias a
+	// provider's committed bytes on the in-process fabric.
+	x.Attached = append([]byte(nil), attached...)
+	return x, nil
+}
+
+func badIndex(format string, args ...any) (*Index, error) {
+	return nil, fmt.Errorf("%w: %s", ErrBadIndex, fmt.Sprintf(format, args...))
 }
 
 func min64(a, b int64) int64 {

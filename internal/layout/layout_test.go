@@ -231,34 +231,6 @@ func TestPlanNegativeRange(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	attrs := wire.FileAttrs{Mode: wire.Hybrid, StripeCount: 2, StripeUnit: 32, ReplDeg: 2}
-	idx, _ := NewIndex(attrs, tinySizing(), ids.New)
-	idx.Plan(0, 100, ids.New)
-	data, err := idx.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size != idx.Size || len(got.Segs) != len(idx.Segs) || got.Mode != idx.Mode {
-		t.Errorf("round trip: %+v vs %+v", got, idx)
-	}
-	for i := range idx.Segs {
-		if got.Segs[i] != idx.Segs[i] {
-			t.Errorf("seg %d: %+v vs %+v", i, got.Segs[i], idx.Segs[i])
-		}
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not an index")); err == nil {
-		t.Error("garbage decoded")
-	}
-}
-
 // TestMappingCoversRangeExactly property-tests that for any mode and any
 // in-bounds range, the returned pieces cover the range exactly once and in
 // order, with every piece inside its segment's capacity.

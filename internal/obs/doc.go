@@ -57,8 +57,8 @@
 // SpanID) pair of random-ish uint64s — in the context.Context. In-process
 // transports (simnet) propagate the context directly to the handler, so
 // child spans parent correctly for free. The TCP transport serializes the
-// pair into the gob call envelope (callEnvelope.Trace/Span) and the server
-// side re-injects it into the handler context, so a trace crosses machine
+// pair into the call envelope (wire.AppendEnvelope) and the server side
+// re-injects it into the handler context, so a trace crosses machine
 // boundaries. Completed spans land in a bounded in-memory ring readable at
 // /debug/trace; when the ring wraps, oldest spans are dropped (tracing is a
 // diagnostic aid, not an audit log).

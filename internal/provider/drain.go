@@ -48,11 +48,9 @@ func (p *Provider) Drain(abort bool) error {
 	stop := make(chan struct{})
 	p.drainStop = stop
 	p.mu.Unlock()
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.drainWorker(stop)
-	}()
+	if !p.spawn(func() { p.drainWorker(stop) }) {
+		return fmt.Errorf("provider %s: stopped", p.id)
+	}
 	return nil
 }
 

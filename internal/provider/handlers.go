@@ -130,11 +130,7 @@ func (h *handler) HandleCast(from wire.NodeID, msg any) {
 			return
 		}
 		resp := wire.LocProbeResp{Seg: m.Seg, Nonce: m.Nonce, Owner: p.id, Version: st.Version}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.call(m.Asker, resp)
-		}()
+		p.spawn(func() { p.call(m.Asker, resp) })
 	}
 }
 

@@ -150,9 +150,10 @@ type Provider struct {
 	departed    []wire.NodeID            // departures awaiting table cleanup
 	memberKick  chan struct{}            // cap 1; wakes membershipWorker
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	stopMu  sync.Mutex
+	stopped bool // under stopMu; once set, spawn refuses
+	stop    chan struct{}
+	wg      sync.WaitGroup
 }
 
 // providerMetrics holds the provider's domain metric handles, resolved once
@@ -333,11 +334,7 @@ func (p *Provider) Endpoint() transport.Endpoint { return p.ep }
 
 // Start launches the daemon's background loops.
 func (p *Provider) Start() {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.membershipWorker()
-	}()
+	p.spawn(p.membershipWorker)
 	p.members.Start()
 	p.ann.Start()
 	p.loop(p.cfg.RefreshInterval, p.refreshAll)
@@ -357,7 +354,12 @@ func (p *Provider) Start() {
 
 // Stop halts the daemon. The endpoint stays open unless Kill is used.
 func (p *Provider) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.stopMu.Lock()
+	if !p.stopped {
+		p.stopped = true
+		close(p.stop)
+	}
+	p.stopMu.Unlock()
 	p.ann.Stop()
 	p.members.Stop()
 	p.wg.Wait()
@@ -369,11 +371,27 @@ func (p *Provider) Kill() {
 	p.ep.Close()
 }
 
-// loop runs fn every interval until Stop.
-func (p *Provider) loop(interval time.Duration, fn func()) {
+// spawn runs fn on a goroutine that Stop waits for, and reports whether it
+// did. It refuses once Stop has begun: the endpoint stays open after Stop, so
+// handlers keep arriving, and a WaitGroup being waited on must not be added
+// to.
+func (p *Provider) spawn(fn func()) bool {
+	p.stopMu.Lock()
+	defer p.stopMu.Unlock()
+	if p.stopped {
+		return false
+	}
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
+		fn()
+	}()
+	return true
+}
+
+// loop runs fn every interval until Stop.
+func (p *Provider) loop(interval time.Duration, fn func()) {
+	p.spawn(func() {
 		t := p.clock.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -384,7 +402,7 @@ func (p *Provider) loop(interval time.Duration, fn func()) {
 				fn()
 			}
 		}
-	}()
+	})
 }
 
 // sampleLoad folds a fresh utilization sample into the gossiped EWMAs.
@@ -606,11 +624,7 @@ func (p *Provider) rehome() {
 			continue
 		}
 		home, list := home, list
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.call(home, wire.LocRefresh{From: p.id, Entries: list})
-		}()
+		p.spawn(func() { p.call(home, wire.LocRefresh{From: p.id, Entries: list}) })
 	}
 }
 
@@ -631,11 +645,7 @@ func (p *Provider) refreshAll() {
 			continue
 		}
 		home, list := home, list
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.call(home, wire.LocRefresh{From: p.id, Entries: list})
-		}()
+		p.spawn(func() { p.call(home, wire.LocRefresh{From: p.id, Entries: list}) })
 	}
 }
 
@@ -652,11 +662,9 @@ func (p *Provider) propagateSeg(seg ids.SegID) {
 	}
 	for _, stale := range act.Stale {
 		stale := stale
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
+		p.spawn(func() {
 			p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source})
-		}()
+		})
 	}
 }
 
@@ -695,11 +703,9 @@ func (p *Provider) repairScan() {
 			budget--
 			stale := stale
 			act := act
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
+			p.spawn(func() {
 				p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source})
-			}()
+			})
 		}
 		// Replication deficit: choose fresh sites, spreading replicas
 		// across racks when the labels allow it.
@@ -733,9 +739,7 @@ func (p *Provider) repairScan() {
 				}
 				budget--
 				dest, act := dest, act
-				p.wg.Add(1)
-				go func() {
-					defer p.wg.Done()
+				p.spawn(func() {
 					p.call(dest, wire.ReplicateNotify{
 						Seg:               act.Seg,
 						Version:           act.Latest,
@@ -743,7 +747,7 @@ func (p *Provider) repairScan() {
 						ReplDeg:           act.ReplDeg,
 						LocalityThreshold: act.LocalityThreshold,
 					})
-				}()
+				})
 			}
 		}
 	}

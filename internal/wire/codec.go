@@ -1,15 +1,12 @@
 package wire
 
-// Hand-rolled binary codec for every wire message. encoding/gob costs
-// per-call reflection and allocations on the RPC hot path; this codec is
-// explicit, allocation-free on encode (append into a caller buffer, exact
-// EncodedSize for pre-sizing from internal/bufpool), and allocation-free on
-// decode in steady state (DecodeInto reuses the target's slice capacity and
-// interned strings). It is shared by both transports: the TCP transport
-// frames real bytes with it, and the simulated fabric charges NIC time for
-// exactly the bytes it would produce (SizeOf). Gob remains for the cold
-// paths — namespace WAL records and trace files — where schema flexibility
-// beats speed.
+// Hand-rolled binary codec for every wire message: explicit per-type
+// functions, allocation-free on encode (append into a caller buffer, exact
+// EncodedSize for pre-sizing from internal/bufpool); decode allocates the
+// boxed message plus one copy per string, payload and slice field, so the
+// result never aliases the input buffer. It is shared by both transports:
+// the TCP transport frames real bytes with it, and the simulated fabric
+// charges NIC time for exactly the bytes it would produce (SizeOf).
 //
 // Wire format: 2-byte little-endian type tag, then the message's fields in
 // declaration order. Fixed-width little-endian integers, IEEE-754 bit
@@ -17,22 +14,17 @@ package wire
 // counts, raw 16 bytes for SegIDs, and a presence byte for pointers and
 // times. Tag values are stable: new types append to the end of the list.
 //
-// Decode semantics deliberately match gob's: a zero-length slice or string
-// decodes as nil/empty exactly as gob's omitted zero fields do, so the two
-// codecs are interchangeable (codec_test.go proves it differentially).
+// A zero-length slice or string decodes as nil/empty, the same equivalence
+// encoding/gob applies to omitted zero fields; codec_test.go keeps gob as its
+// reference implementation and proves the two agree on every message type.
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/ids"
 )
-
-// readerPool recycles wireReaders: a stack-allocated reader would escape
-// through the decodeWire interface call, costing one allocation per decode.
-var readerPool = sync.Pool{New: func() any { return new(wireReader) }}
 
 // Message type tags. Stable on the wire: append, never reorder.
 const (
@@ -119,7 +111,8 @@ type marshaler interface {
 	appendWire(b []byte) []byte
 }
 
-// unmarshaler is the pointer-receiver decode side.
+// unmarshaler is the pointer-receiver decode side; decodeWire fills a zero
+// value.
 type unmarshaler interface {
 	marshaler
 	decodeWire(r *wireReader)
@@ -172,33 +165,6 @@ func Decode(data []byte) (any, error) {
 	return msg, nil
 }
 
-// DecodeInto decodes one message into dst, which must be a pointer to the
-// same registered type the data encodes. Slice fields reuse dst's existing
-// capacity and unchanged strings are kept, so a steady-state loop decoding
-// into the same struct allocates nothing.
-func DecodeInto(data []byte, dst any) error {
-	u, ok := dst.(unmarshaler)
-	if !ok {
-		return fmt.Errorf("wire: no binary codec for %T", dst)
-	}
-	r := readerPool.Get().(*wireReader)
-	r.b, r.off, r.bad = data, 0, false
-	var err error
-	if tag := r.u16(); tag != u.wireTag() {
-		err = fmt.Errorf("wire: tag %d does not match %T", tag, dst)
-	} else {
-		u.decodeWire(r)
-		if r.bad {
-			err = fmt.Errorf("wire: truncated or corrupt %T", dst)
-		} else if r.off != len(r.b) {
-			err = fmt.Errorf("wire: %d trailing bytes after %T", len(r.b)-r.off, dst)
-		}
-	}
-	*r = wireReader{}
-	readerPool.Put(r)
-	return err
-}
-
 // Messages returns a zero value of every registered message type, in tag
 // order. Tests iterate it to prove codec properties hold for all types.
 func Messages() []any {
@@ -235,7 +201,7 @@ func EnvelopeSize(from NodeID, msg any) (int, bool) {
 // (payloads copied), so the caller may recycle data.
 func DecodeEnvelope(data []byte) (from NodeID, trace, span uint64, msg any, err error) {
 	r := wireReader{b: data}
-	from = NodeID(r.str(""))
+	from = NodeID(r.str())
 	trace = r.u64()
 	span = r.u64()
 	msg, err = decodeTagged(&r)
@@ -275,7 +241,7 @@ func ReplySize(msg any, errStr string) (int, bool) {
 // DecodeReply decodes a reply envelope.
 func DecodeReply(data []byte) (msg any, errStr string, err error) {
 	r := wireReader{b: data}
-	errStr = r.str("")
+	errStr = r.str()
 	present := r.flag()
 	if r.bad {
 		return nil, "", fmt.Errorf("wire: truncated reply envelope")
@@ -543,23 +509,17 @@ func (r *wireReader) flag() byte {
 
 func (r *wireReader) bool_() bool { return r.flag() == 1 }
 
-// str decodes a string, returning old when the bytes are unchanged so
-// steady-state decoding of repeated identifiers allocates nothing (the
-// string(b) == old comparison does not allocate).
-func (r *wireReader) str(old string) string {
+func (r *wireReader) str() string {
 	s := r.take(int(r.u32()))
-	if r.bad || len(s) == 0 {
+	if r.bad {
 		return ""
-	}
-	if string(s) == old {
-		return old
 	}
 	return string(s)
 }
 
-// bytes decodes a byte slice into old's capacity when it fits; a zero
-// length decodes as nil, matching gob's omitted-zero-field semantics.
-func (r *wireReader) bytes(old []byte) []byte {
+// bytes decodes a byte slice as a private copy; a zero length decodes as
+// nil.
+func (r *wireReader) bytes() []byte {
 	n := int(r.u32())
 	if n == 0 {
 		return nil
@@ -568,7 +528,7 @@ func (r *wireReader) bytes(old []byte) []byte {
 	if r.bad {
 		return nil
 	}
-	return append(old[:0], s...)
+	return append([]byte(nil), s...)
 }
 
 func (r *wireReader) id() ids.SegID {
@@ -597,15 +557,6 @@ func (r *wireReader) count() int {
 		return 0
 	}
 	return n
-}
-
-// sliceFor reuses old's capacity for n elements, keeping existing element
-// values visible so in-place decodes can intern their strings.
-func sliceFor[T any](old []T, n int) []T {
-	if cap(old) >= n {
-		return old[:n]
-	}
-	return make([]T, n)
 }
 
 // ---------------------------------------------------------------------------
@@ -656,9 +607,9 @@ func appendLoadInfo(b []byte, l *LoadInfo) []byte {
 	return appendBool(b, l.Draining)
 }
 
-func (r *wireReader) loadInfo(old *LoadInfo) LoadInfo {
+func (r *wireReader) loadInfo() LoadInfo {
 	var l LoadInfo
-	l.Rack = r.str(old.Rack)
+	l.Rack = r.str()
 	l.Load = r.f64()
 	l.IOWaitEWMA = r.f64()
 	l.FreeBytes = r.i64()
@@ -682,9 +633,9 @@ func appendFileEntry(b []byte, e *FileEntry) []byte {
 	return appendTime(b, e.Modified)
 }
 
-func (r *wireReader) fileEntry(old *FileEntry) FileEntry {
+func (r *wireReader) fileEntry() FileEntry {
 	var e FileEntry
-	e.Path = r.str(old.Path)
+	e.Path = r.str()
 	e.FileID = r.id()
 	e.Version = r.u64()
 	e.Size = r.i64()
@@ -711,16 +662,15 @@ func appendOwners(b []byte, os []OwnerInfo) []byte {
 	return b
 }
 
-func (r *wireReader) owners(old []OwnerInfo) []OwnerInfo {
+func (r *wireReader) owners() []OwnerInfo {
 	n := r.count()
 	if n == 0 {
 		return nil
 	}
-	out := sliceFor(old, n)
+	out := make([]OwnerInfo, n)
 	for i := range out {
-		o := &out[i]
-		o.Node = NodeID(r.str(string(o.Node)))
-		o.Version = r.u64()
+		out[i].Node = NodeID(r.str())
+		out[i].Version = r.u64()
 	}
 	return out
 }
@@ -755,12 +705,12 @@ func appendSegIDs(b []byte, s []ids.SegID) []byte {
 	return b
 }
 
-func (r *wireReader) segIDs(old []ids.SegID) []ids.SegID {
+func (r *wireReader) segIDs() []ids.SegID {
 	n := r.count()
 	if n == 0 {
 		return nil
 	}
-	out := sliceFor(old, n)
+	out := make([]ids.SegID, n)
 	for i := range out {
 		out[i] = r.id()
 	}
@@ -787,24 +737,24 @@ func appendU32s(b []byte, s []uint32) []byte {
 	return b
 }
 
-func (r *wireReader) u32s(old []uint32) []uint32 {
+func (r *wireReader) u32s() []uint32 {
 	n := r.count()
 	if n == 0 {
 		return nil
 	}
-	out := sliceFor(old, n)
+	out := make([]uint32, n)
 	for i := range out {
 		out[i] = r.u32()
 	}
 	return out
 }
 
-func (r *wireReader) u64s(old []uint64) []uint64 {
+func (r *wireReader) u64s() []uint64 {
 	n := r.count()
 	if n == 0 {
 		return nil
 	}
-	out := sliceFor(old, n)
+	out := make([]uint64, n)
 	for i := range out {
 		out[i] = r.u64()
 	}
@@ -821,12 +771,12 @@ func appendI64s(b []byte, s []int64) []byte {
 	return b
 }
 
-func (r *wireReader) i64s(old []int64) []int64 {
+func (r *wireReader) i64s() []int64 {
 	n := r.count()
 	if n == 0 {
 		return nil
 	}
-	out := sliceFor(old, n)
+	out := make([]int64, n)
 	for i := range out {
 		out[i] = r.i64()
 	}
@@ -846,20 +796,20 @@ func (m Heartbeat) appendWire(b []byte) []byte {
 	return appendLoadInfo(b, &m.Load)
 }
 func (m *Heartbeat) decodeWire(r *wireReader) {
-	m.From = NodeID(r.str(string(m.From)))
+	m.From = NodeID(r.str())
 	m.Seq = r.u64()
-	m.Load = r.loadInfo(&m.Load)
+	m.Load = r.loadInfo()
 }
 
 func (Hello) wireTag() uint16              { return tagHello }
 func (m Hello) encodedSize() int           { return strSize(string(m.From)) }
 func (m Hello) appendWire(b []byte) []byte { return appendStr(b, string(m.From)) }
-func (m *Hello) decodeWire(r *wireReader)  { m.From = NodeID(r.str(string(m.From))) }
+func (m *Hello) decodeWire(r *wireReader)  { m.From = NodeID(r.str()) }
 
 func (NSLookup) wireTag() uint16              { return tagNSLookup }
 func (m NSLookup) encodedSize() int           { return strSize(m.Path) }
 func (m NSLookup) appendWire(b []byte) []byte { return appendStr(b, m.Path) }
-func (m *NSLookup) decodeWire(r *wireReader)  { m.Path = r.str(m.Path) }
+func (m *NSLookup) decodeWire(r *wireReader)  { m.Path = r.str() }
 
 func (NSLookupResp) wireTag() uint16 { return tagNSLookupResp }
 func (m NSLookupResp) encodedSize() int {
@@ -871,7 +821,7 @@ func (m NSLookupResp) appendWire(b []byte) []byte {
 }
 func (m *NSLookupResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Entry = r.fileEntry(&m.Entry)
+	m.Entry = r.fileEntry()
 }
 
 func (NSCreate) wireTag() uint16 { return tagNSCreate }
@@ -884,7 +834,7 @@ func (m NSCreate) appendWire(b []byte) []byte {
 	return appendAttrs(b, m.Attrs)
 }
 func (m *NSCreate) decodeWire(r *wireReader) {
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 	m.FileID = r.id()
 	m.Attrs = r.attrs()
 }
@@ -900,14 +850,14 @@ func (m NSCreateResp) appendWire(b []byte) []byte {
 }
 func (m *NSCreateResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
-	m.Entry = r.fileEntry(&m.Entry)
+	m.Err = r.str()
+	m.Entry = r.fileEntry()
 }
 
 func (NSRemove) wireTag() uint16              { return tagNSRemove }
 func (m NSRemove) encodedSize() int           { return strSize(m.Path) }
 func (m NSRemove) appendWire(b []byte) []byte { return appendStr(b, m.Path) }
-func (m *NSRemove) decodeWire(r *wireReader)  { m.Path = r.str(m.Path) }
+func (m *NSRemove) decodeWire(r *wireReader)  { m.Path = r.str() }
 
 func (NSRemoveResp) wireTag() uint16 { return tagNSRemoveResp }
 func (m NSRemoveResp) encodedSize() int {
@@ -920,24 +870,24 @@ func (m NSRemoveResp) appendWire(b []byte) []byte {
 }
 func (m *NSRemoveResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
-	m.Entry = r.fileEntry(&m.Entry)
+	m.Err = r.str()
+	m.Entry = r.fileEntry()
 }
 
 func (NSMkdir) wireTag() uint16              { return tagNSMkdir }
 func (m NSMkdir) encodedSize() int           { return strSize(m.Path) }
 func (m NSMkdir) appendWire(b []byte) []byte { return appendStr(b, m.Path) }
-func (m *NSMkdir) decodeWire(r *wireReader)  { m.Path = r.str(m.Path) }
+func (m *NSMkdir) decodeWire(r *wireReader)  { m.Path = r.str() }
 
 func (NSRmdir) wireTag() uint16              { return tagNSRmdir }
 func (m NSRmdir) encodedSize() int           { return strSize(m.Path) }
 func (m NSRmdir) appendWire(b []byte) []byte { return appendStr(b, m.Path) }
-func (m *NSRmdir) decodeWire(r *wireReader)  { m.Path = r.str(m.Path) }
+func (m *NSRmdir) decodeWire(r *wireReader)  { m.Path = r.str() }
 
 func (NSReadDir) wireTag() uint16              { return tagNSReadDir }
 func (m NSReadDir) encodedSize() int           { return strSize(m.Path) }
 func (m NSReadDir) appendWire(b []byte) []byte { return appendStr(b, m.Path) }
-func (m *NSReadDir) decodeWire(r *wireReader)  { m.Path = r.str(m.Path) }
+func (m *NSReadDir) decodeWire(r *wireReader)  { m.Path = r.str() }
 
 func (NSReadDirResp) wireTag() uint16 { return tagNSReadDirResp }
 func (m NSReadDirResp) encodedSize() int {
@@ -970,27 +920,21 @@ func (m NSReadDirResp) appendWire(b []byte) []byte {
 }
 func (m *NSReadDirResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	n := r.count()
 	if n == 0 {
-		m.Entries = nil
 		return
 	}
-	out := sliceFor(m.Entries, n)
-	for i := range out {
-		e := &out[i]
-		e.Name = r.str(e.Name)
+	m.Entries = make([]DirEntry, n)
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		e.Name = r.str()
 		e.IsDir = r.bool_()
-		if r.flag() == 0 {
-			e.Entry = nil
-			continue
+		if r.flag() == 1 {
+			fe := r.fileEntry()
+			e.Entry = &fe
 		}
-		if e.Entry == nil {
-			e.Entry = new(FileEntry)
-		}
-		*e.Entry = r.fileEntry(e.Entry)
 	}
-	m.Entries = out
 }
 
 func (NSGenericResp) wireTag() uint16 { return tagNSGenericResp }
@@ -1003,7 +947,7 @@ func (m NSGenericResp) appendWire(b []byte) []byte {
 }
 func (m *NSGenericResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 }
 
 func (NSCommitBegin) wireTag() uint16 { return tagNSCommitBegin }
@@ -1017,7 +961,7 @@ func (m NSCommitBegin) appendWire(b []byte) []byte {
 }
 func (m *NSCommitBegin) decodeWire(r *wireReader) {
 	m.FileID = r.id()
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 	m.BaseVer = r.u64()
 }
 
@@ -1053,7 +997,7 @@ func (m NSCommitComplete) appendWire(b []byte) []byte {
 }
 func (m *NSCommitComplete) decodeWire(r *wireReader) {
 	m.FileID = r.id()
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 	m.NewVer = r.u64()
 	m.Ticket = r.u64()
 	m.NewSize = r.i64()
@@ -1070,7 +1014,7 @@ func (m NSCommitAbort) appendWire(b []byte) []byte {
 }
 func (m *NSCommitAbort) decodeWire(r *wireReader) {
 	m.FileID = r.id()
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 	m.Ticket = r.u64()
 }
 
@@ -1084,8 +1028,8 @@ func (m NSLeaseAcquire) appendWire(b []byte) []byte {
 	return appendF64(b, m.TTLSec)
 }
 func (m *NSLeaseAcquire) decodeWire(r *wireReader) {
-	m.Path = r.str(m.Path)
-	m.Owner = r.str(m.Owner)
+	m.Path = r.str()
+	m.Owner = r.str()
 	m.TTLSec = r.f64()
 }
 
@@ -1099,7 +1043,7 @@ func (m NSLeaseAcquireResp) appendWire(b []byte) []byte {
 }
 func (m *NSLeaseAcquireResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Holder = r.str(m.Holder)
+	m.Holder = r.str()
 }
 
 func (NSLeaseRelease) wireTag() uint16 { return tagNSLeaseRelease }
@@ -1111,8 +1055,8 @@ func (m NSLeaseRelease) appendWire(b []byte) []byte {
 	return appendStr(b, m.Owner)
 }
 func (m *NSLeaseRelease) decodeWire(r *wireReader) {
-	m.Path = r.str(m.Path)
-	m.Owner = r.str(m.Owner)
+	m.Path = r.str()
+	m.Owner = r.str()
 }
 
 func (SegRead) wireTag() uint16 { return tagSegRead }
@@ -1149,11 +1093,11 @@ func (m SegReadResp) appendWire(b []byte) []byte {
 }
 func (m *SegReadResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.Redirect = r.bool_()
-	m.Owners = r.owners(m.Owners)
+	m.Owners = r.owners()
 	m.Version = r.u64()
-	m.Data = r.bytes(m.Data)
+	m.Data = r.bytes()
 	m.EOF = r.bool_()
 	m.Sum = r.u32()
 }
@@ -1173,7 +1117,7 @@ func (m SegCreate) appendWire(b []byte) []byte {
 func (m *SegCreate) decodeWire(r *wireReader) {
 	m.Seg = r.id()
 	m.Version = r.u64()
-	m.Data = r.bytes(m.Data)
+	m.Data = r.bytes()
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
 	m.Direct = r.bool_()
@@ -1189,7 +1133,7 @@ func (m SegCreateResp) appendWire(b []byte) []byte {
 }
 func (m *SegCreateResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 }
 
 func (SegShadow) wireTag() uint16 { return tagSegShadow }
@@ -1205,7 +1149,7 @@ func (m SegShadow) appendWire(b []byte) []byte {
 	return appendF64(b, m.LocalityThreshold)
 }
 func (m *SegShadow) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
+	m.Owner = r.str()
 	m.Seg = r.id()
 	m.BaseVer = r.u64()
 	m.TTLSec = r.f64()
@@ -1226,7 +1170,7 @@ func (m SegShadowResp) appendWire(b []byte) []byte {
 }
 func (m *SegShadowResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.NewVer = r.u64()
 	m.Size = r.i64()
 	m.Created = r.bool_()
@@ -1244,10 +1188,10 @@ func (m SegWrite) appendWire(b []byte) []byte {
 	return appendBool(b, m.Direct)
 }
 func (m *SegWrite) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
+	m.Owner = r.str()
 	m.Seg = r.id()
 	m.Offset = r.i64()
-	m.Data = r.bytes(m.Data)
+	m.Data = r.bytes()
 	m.Direct = r.bool_()
 }
 
@@ -1262,7 +1206,7 @@ func (m SegWriteResp) appendWire(b []byte) []byte {
 }
 func (m *SegWriteResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.N = r.int_()
 }
 
@@ -1277,7 +1221,7 @@ func (m SegShadowRead) appendWire(b []byte) []byte {
 	return appendI64(b, m.Length)
 }
 func (m *SegShadowRead) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
+	m.Owner = r.str()
 	m.Seg = r.id()
 	m.Offset = r.i64()
 	m.Length = r.i64()
@@ -1293,7 +1237,7 @@ func (m SegTruncate) appendWire(b []byte) []byte {
 	return appendI64(b, m.Size)
 }
 func (m *SegTruncate) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
+	m.Owner = r.str()
 	m.Seg = r.id()
 	m.Size = r.i64()
 }
@@ -1308,7 +1252,7 @@ func (m SegRenew) appendWire(b []byte) []byte {
 	return appendF64(b, m.TTLSec)
 }
 func (m *SegRenew) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
+	m.Owner = r.str()
 	m.Seg = r.id()
 	m.TTLSec = r.f64()
 }
@@ -1322,7 +1266,7 @@ func (m SegDrop) appendWire(b []byte) []byte {
 	return appendID(b, m.Seg)
 }
 func (m *SegDrop) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
+	m.Owner = r.str()
 	m.Seg = r.id()
 }
 
@@ -1397,12 +1341,12 @@ func (m SegFetchResp) appendWire(b []byte) []byte {
 }
 func (m *SegFetchResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.Version = r.u64()
-	m.Data = r.bytes(m.Data)
+	m.Data = r.bytes()
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
-	m.Sums = r.u32s(m.Sums)
+	m.Sums = r.u32s()
 }
 
 func (GenericResp) wireTag() uint16 { return tagGenericResp }
@@ -1415,7 +1359,7 @@ func (m GenericResp) appendWire(b []byte) []byte {
 }
 func (m *GenericResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 }
 
 func (SegFetchDelta) wireTag() uint16 { return tagSegFetchDelta }
@@ -1457,26 +1401,21 @@ func (m SegFetchDeltaResp) appendWire(b []byte) []byte {
 }
 func (m *SegFetchDeltaResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.Version = r.u64()
 	m.Size = r.i64()
-	n := r.count()
-	if n == 0 {
-		m.Ranges = nil
-	} else {
-		out := sliceFor(m.Ranges, n)
-		for i := range out {
-			e := &out[i]
-			e.Off = r.i64()
-			e.Data = r.bytes(e.Data)
+	if n := r.count(); n > 0 {
+		m.Ranges = make([]DeltaRange, n)
+		for i := range m.Ranges {
+			m.Ranges[i].Off = r.i64()
+			m.Ranges[i].Data = r.bytes()
 		}
-		m.Ranges = out
 	}
 	m.FullFallback = r.bool_()
-	m.Full = r.bytes(m.Full)
+	m.Full = r.bytes()
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
-	m.Sums = r.u32s(m.Sums)
+	m.Sums = r.u32s()
 }
 
 func (Prepare2PC) wireTag() uint16 { return tagPrepare2PC }
@@ -1488,8 +1427,8 @@ func (m Prepare2PC) appendWire(b []byte) []byte {
 	return appendSegIDs(b, m.Segs)
 }
 func (m *Prepare2PC) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
-	m.Segs = r.segIDs(m.Segs)
+	m.Owner = r.str()
+	m.Segs = r.segIDs()
 }
 
 func (Prepare2PCResp) wireTag() uint16 { return tagPrepare2PCResp }
@@ -1504,9 +1443,9 @@ func (m Prepare2PCResp) appendWire(b []byte) []byte {
 }
 func (m *Prepare2PCResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
-	m.PlannedVers = r.u64s(m.PlannedVers)
-	m.Sizes = r.i64s(m.Sizes)
+	m.Err = r.str()
+	m.PlannedVers = r.u64s()
+	m.Sizes = r.i64s()
 }
 
 func (Commit2PC) wireTag() uint16 { return tagCommit2PC }
@@ -1519,9 +1458,9 @@ func (m Commit2PC) appendWire(b []byte) []byte {
 	return appendU64s(b, m.Planned)
 }
 func (m *Commit2PC) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
-	m.Segs = r.segIDs(m.Segs)
-	m.Planned = r.u64s(m.Planned)
+	m.Owner = r.str()
+	m.Segs = r.segIDs()
+	m.Planned = r.u64s()
 }
 
 func (Abort2PC) wireTag() uint16 { return tagAbort2PC }
@@ -1533,8 +1472,8 @@ func (m Abort2PC) appendWire(b []byte) []byte {
 	return appendSegIDs(b, m.Segs)
 }
 func (m *Abort2PC) decodeWire(r *wireReader) {
-	m.Owner = r.str(m.Owner)
-	m.Segs = r.segIDs(m.Segs)
+	m.Owner = r.str()
+	m.Segs = r.segIDs()
 }
 
 func (LocRefresh) wireTag() uint16 { return tagLocRefresh }
@@ -1550,17 +1489,15 @@ func (m LocRefresh) appendWire(b []byte) []byte {
 	return b
 }
 func (m *LocRefresh) decodeWire(r *wireReader) {
-	m.From = NodeID(r.str(string(m.From)))
+	m.From = NodeID(r.str())
 	n := r.count()
 	if n == 0 {
-		m.Entries = nil
 		return
 	}
-	out := sliceFor(m.Entries, n)
-	for i := range out {
-		out[i] = r.locEntry()
+	m.Entries = make([]LocEntry, n)
+	for i := range m.Entries {
+		m.Entries[i] = r.locEntry()
 	}
-	m.Entries = out
 }
 
 func (LocUpdate) wireTag() uint16 { return tagLocUpdate }
@@ -1573,7 +1510,7 @@ func (m LocUpdate) appendWire(b []byte) []byte {
 	return appendBool(b, m.Removed)
 }
 func (m *LocUpdate) decodeWire(r *wireReader) {
-	m.From = NodeID(r.str(string(m.From)))
+	m.From = NodeID(r.str())
 	m.Entry = r.locEntry()
 	m.Removed = r.bool_()
 }
@@ -1593,7 +1530,7 @@ func (m LocQueryResp) appendWire(b []byte) []byte {
 }
 func (m *LocQueryResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Owners = r.owners(m.Owners)
+	m.Owners = r.owners()
 }
 
 func (LocProbe) wireTag() uint16 { return tagLocProbe }
@@ -1607,7 +1544,7 @@ func (m LocProbe) appendWire(b []byte) []byte {
 }
 func (m *LocProbe) decodeWire(r *wireReader) {
 	m.Seg = r.id()
-	m.Asker = NodeID(r.str(string(m.Asker)))
+	m.Asker = NodeID(r.str())
 	m.Nonce = r.u64()
 }
 
@@ -1624,7 +1561,7 @@ func (m LocProbeResp) appendWire(b []byte) []byte {
 func (m *LocProbeResp) decodeWire(r *wireReader) {
 	m.Seg = r.id()
 	m.Nonce = r.u64()
-	m.Owner = NodeID(r.str(string(m.Owner)))
+	m.Owner = NodeID(r.str())
 	m.Version = r.u64()
 }
 
@@ -1640,7 +1577,7 @@ func (m SyncNotify) appendWire(b []byte) []byte {
 func (m *SyncNotify) decodeWire(r *wireReader) {
 	m.Seg = r.id()
 	m.Version = r.u64()
-	m.Source = NodeID(r.str(string(m.Source)))
+	m.Source = NodeID(r.str())
 }
 
 func (ReplicateNotify) wireTag() uint16 { return tagReplicateNotify }
@@ -1658,7 +1595,7 @@ func (m ReplicateNotify) appendWire(b []byte) []byte {
 func (m *ReplicateNotify) decodeWire(r *wireReader) {
 	m.Seg = r.id()
 	m.Version = r.u64()
-	m.Source = NodeID(r.str(string(m.Source)))
+	m.Source = NodeID(r.str())
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
 	m.Handoff = r.bool_()
@@ -1674,7 +1611,7 @@ func (m MigrateRequest) appendWire(b []byte) []byte {
 }
 func (m *MigrateRequest) decodeWire(r *wireReader) {
 	m.Seg = r.id()
-	m.Dest = NodeID(r.str(string(m.Dest)))
+	m.Dest = NodeID(r.str())
 }
 
 func (PRead) wireTag() uint16 { return tagPRead }
@@ -1688,7 +1625,7 @@ func (m PRead) appendWire(b []byte) []byte {
 	return appendU64(b, m.Version)
 }
 func (m *PRead) decodeWire(r *wireReader) {
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 	m.Offset = r.i64()
 	m.Length = r.i64()
 	m.Version = r.u64()
@@ -1707,9 +1644,9 @@ func (m PReadResp) appendWire(b []byte) []byte {
 }
 func (m *PReadResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.Version = r.u64()
-	m.Data = r.bytes(m.Data)
+	m.Data = r.bytes()
 	m.EOF = r.bool_()
 }
 
@@ -1727,10 +1664,10 @@ func (m PWrite) appendWire(b []byte) []byte {
 	return appendInt(b, m.ReplDeg)
 }
 func (m *PWrite) decodeWire(r *wireReader) {
-	m.Sess = r.str(m.Sess)
-	m.Path = r.str(m.Path)
+	m.Sess = r.str()
+	m.Path = r.str()
 	m.Offset = r.i64()
-	m.Data = r.bytes(m.Data)
+	m.Data = r.bytes()
 	m.Create = r.bool_()
 	m.ReplDeg = r.int_()
 }
@@ -1746,7 +1683,7 @@ func (m PWriteResp) appendWire(b []byte) []byte {
 }
 func (m *PWriteResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.N = r.int_()
 }
 
@@ -1759,8 +1696,8 @@ func (m PCommit) appendWire(b []byte) []byte {
 	return appendStr(b, m.Path)
 }
 func (m *PCommit) decodeWire(r *wireReader) {
-	m.Sess = r.str(m.Sess)
-	m.Path = r.str(m.Path)
+	m.Sess = r.str()
+	m.Path = r.str()
 }
 
 func (PCommitResp) wireTag() uint16 { return tagPCommitResp }
@@ -1775,7 +1712,7 @@ func (m PCommitResp) appendWire(b []byte) []byte {
 }
 func (m *PCommitResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
+	m.Err = r.str()
 	m.Version = r.u64()
 	m.Size = r.i64()
 }
@@ -1789,8 +1726,8 @@ func (m PAbort) appendWire(b []byte) []byte {
 	return appendStr(b, m.Path)
 }
 func (m *PAbort) decodeWire(r *wireReader) {
-	m.Sess = r.str(m.Sess)
-	m.Path = r.str(m.Path)
+	m.Sess = r.str()
+	m.Path = r.str()
 }
 
 func (PStat) wireTag() uint16 { return tagPStat }
@@ -1801,7 +1738,7 @@ func (m PStat) appendWire(b []byte) []byte {
 	return appendStr(b, m.Path)
 }
 func (m *PStat) decodeWire(r *wireReader) {
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 }
 
 func (PStatResp) wireTag() uint16 { return tagPStatResp }
@@ -1815,8 +1752,8 @@ func (m PStatResp) appendWire(b []byte) []byte {
 }
 func (m *PStatResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
-	m.Entry = r.fileEntry(&m.Entry)
+	m.Err = r.str()
+	m.Entry = r.fileEntry()
 }
 
 func (PMkdir) wireTag() uint16 { return tagPMkdir }
@@ -1827,7 +1764,7 @@ func (m PMkdir) appendWire(b []byte) []byte {
 	return appendStr(b, m.Path)
 }
 func (m *PMkdir) decodeWire(r *wireReader) {
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 }
 
 func (PRemove) wireTag() uint16 { return tagPRemove }
@@ -1838,7 +1775,7 @@ func (m PRemove) appendWire(b []byte) []byte {
 	return appendStr(b, m.Path)
 }
 func (m *PRemove) decodeWire(r *wireReader) {
-	m.Path = r.str(m.Path)
+	m.Path = r.str()
 }
 
 func (AdminDrain) wireTag() uint16 { return tagAdminDrain }
@@ -1850,7 +1787,7 @@ func (m AdminDrain) appendWire(b []byte) []byte {
 	return appendBool(b, m.Abort)
 }
 func (m *AdminDrain) decodeWire(r *wireReader) {
-	m.Node = NodeID(r.str(string(m.Node)))
+	m.Node = NodeID(r.str())
 	m.Abort = r.bool_()
 }
 
@@ -1862,7 +1799,7 @@ func (m AdminStatus) appendWire(b []byte) []byte {
 	return appendStr(b, string(m.Node))
 }
 func (m *AdminStatus) decodeWire(r *wireReader) {
-	m.Node = NodeID(r.str(string(m.Node)))
+	m.Node = NodeID(r.str())
 }
 
 func (AdminStatusResp) wireTag() uint16 { return tagAdminStatusResp }
@@ -1882,8 +1819,8 @@ func (m AdminStatusResp) appendWire(b []byte) []byte {
 }
 func (m *AdminStatusResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
-	m.Node = NodeID(r.str(string(m.Node)))
+	m.Err = r.str()
+	m.Node = NodeID(r.str())
 	m.Draining = r.bool_()
 	m.Segments = r.int_()
 	m.Shadows = r.int_()
@@ -1899,7 +1836,7 @@ func (m AdminRetire) appendWire(b []byte) []byte {
 	return appendStr(b, string(m.Node))
 }
 func (m *AdminRetire) decodeWire(r *wireReader) {
-	m.Node = NodeID(r.str(string(m.Node)))
+	m.Node = NodeID(r.str())
 }
 
 func (ProxyStatus) wireTag() uint16 { return tagProxyStatus }
@@ -1910,7 +1847,7 @@ func (m ProxyStatus) appendWire(b []byte) []byte {
 	return appendStr(b, string(m.Node))
 }
 func (m *ProxyStatus) decodeWire(r *wireReader) {
-	m.Node = NodeID(r.str(string(m.Node)))
+	m.Node = NodeID(r.str())
 }
 
 func (ProxyStatusResp) wireTag() uint16 { return tagProxyStatusResp }
@@ -1929,8 +1866,8 @@ func (m ProxyStatusResp) appendWire(b []byte) []byte {
 }
 func (m *ProxyStatusResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
-	m.Err = r.str(m.Err)
-	m.Node = NodeID(r.str(string(m.Node)))
+	m.Err = r.str()
+	m.Node = NodeID(r.str())
 	m.Sessions = r.int_()
 	m.Reads = r.int_()
 	m.Requests = r.u64()

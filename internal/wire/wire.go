@@ -1,8 +1,9 @@
 // Package wire defines the shared on-the-wire schema of the Sorrento
 // protocols: node identities, file/segment metadata, and every RPC message
 // exchanged between clients, storage providers, and namespace servers. All
-// message types are plain data (gob-encodable) so the same protocol code
-// runs over the in-process simulated fabric and the real TCP transport.
+// message types are plain data with a binary codec (codec.go), so the same
+// protocol code runs over the in-process simulated fabric and the real TCP
+// transport.
 //
 // By convention messages are immutable once sent: senders must not retain
 // and mutate payload buffers, and receivers must treat payloads (e.g.
@@ -12,7 +13,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"time"
 
 	"repro/internal/ids"
@@ -752,31 +752,4 @@ type ProxyStatusResp struct {
 	Requests  uint64 // thin-protocol requests served
 	Errors    uint64 // thin-protocol requests failed
 	Providers int    // live providers in the proxy's membership view
-}
-
-func init() {
-	for _, m := range []any{
-		Heartbeat{}, Hello{},
-		NSLookup{}, NSLookupResp{}, NSCreate{}, NSCreateResp{},
-		NSRemove{}, NSRemoveResp{}, NSMkdir{}, NSRmdir{},
-		NSReadDir{}, NSReadDirResp{}, NSGenericResp{},
-		NSCommitBegin{}, NSCommitBeginResp{}, NSCommitComplete{}, NSCommitAbort{},
-		NSLeaseAcquire{}, NSLeaseAcquireResp{}, NSLeaseRelease{},
-		SegRead{}, SegReadResp{}, SegCreate{}, SegCreateResp{},
-		SegShadow{}, SegShadowResp{}, SegWrite{}, SegWriteResp{}, SegShadowRead{},
-		SegTruncate{}, SegRenew{}, SegDrop{}, SegDelete{},
-		SegStat{}, SegStatResp{}, SegFetch{}, SegFetchResp{}, GenericResp{}, SegPin{},
-		SegFetchDelta{}, SegFetchDeltaResp{},
-		Prepare2PC{}, Prepare2PCResp{}, Commit2PC{}, Abort2PC{},
-		LocRefresh{}, LocUpdate{}, LocQuery{}, LocQueryResp{},
-		LocProbe{}, LocProbeResp{},
-		SyncNotify{}, ReplicateNotify{}, MigrateRequest{},
-		PRead{}, PReadResp{}, PWrite{}, PWriteResp{},
-		PCommit{}, PCommitResp{}, PAbort{}, PStat{}, PStatResp{},
-		PMkdir{}, PRemove{},
-		AdminDrain{}, AdminStatus{}, AdminStatusResp{}, AdminRetire{},
-		ProxyStatus{}, ProxyStatusResp{},
-	} {
-		gob.Register(m)
-	}
 }

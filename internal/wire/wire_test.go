@@ -1,45 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
-	"testing"
-
-	"repro/internal/ids"
-)
-
-func TestGobRoundTrip(t *testing.T) {
-	// Every message type must survive a gob round trip through an interface
-	// value, since that is how the TCP transport ships them.
-	msgs := []any{
-		Heartbeat{From: "p1", Seq: 7, Load: LoadInfo{Load: 0.5, FreeBytes: 10, TotalBytes: 20}},
-		NSLookup{Path: "/a/b"},
-		NSCreate{Path: "/f", FileID: ids.New(), Attrs: DefaultAttrs()},
-		SegRead{Seg: ids.New(), Offset: 4096, Length: 12288},
-		SegReadResp{OK: true, Data: []byte("hello"), Owners: []OwnerInfo{{Node: "p2", Version: 3}}, Redirect: true},
-		SegWrite{Seg: ids.New(), Offset: 1, Data: []byte{1, 2, 3}},
-		LocRefresh{From: "p9", Entries: []LocEntry{{Seg: ids.New(), Version: 2, Size: 100, ReplDeg: 3}}},
-		Prepare2PC{Owner: "sess-1", Segs: []ids.SegID{ids.New(), ids.New()}},
-		SyncNotify{Seg: ids.New(), Version: 5, Source: "p3"},
-		SegPin{Seg: ids.New(), Version: 3},
-		SegFetchDelta{Seg: ids.New(), HaveVer: 2},
-		SegFetchDeltaResp{OK: true, Version: 4, Size: 100, Ranges: []DeltaRange{{Off: 10, Data: []byte("xy")}}},
-	}
-	for _, in := range msgs {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-			t.Fatalf("encode %T: %v", in, err)
-		}
-		var out any
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode %T: %v", in, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("%T did not round-trip: %+v vs %+v", in, in, out)
-		}
-	}
-}
+import "testing"
 
 func TestSizeOfDataDominates(t *testing.T) {
 	data := make([]byte, 1<<20)
