@@ -6,7 +6,7 @@
 
 RACE_PKGS := ./internal/core ./internal/segstore ./internal/provider ./internal/cluster ./internal/wire ./internal/simtime ./internal/simnet ./internal/proxy ./internal/transport
 
-.PHONY: check build test vet gob-guard race regress bench bench-transport scrub-chaos bench-scrub
+.PHONY: check build test vet gob-guard race regress bench-build bench bench-transport scrub-chaos bench-scrub
 
 check: build vet gob-guard test race
 
@@ -35,6 +35,13 @@ race:
 regress:
 	go test ./internal/cluster -run 'TestGrowingFileAcrossManySegments$$' -count=200
 	go test ./internal/provider -run 'TestStopUnderLocationStorm$$' -race -count=50
+
+# The repository benchmark (benchmark/, its own module, frozen) compiles
+# against internal/ APIs that root `go build ./...` never checks for it; this
+# builds and smoke-tests it (~14 s) so an API change that breaks the driver
+# fails here and not in the benchmark pipeline.
+bench-build:
+	cd benchmark && go vet ./... && go test ./...
 
 # Parallel data-path microbenchmarks (modeled MB/s per stripe width).
 bench:

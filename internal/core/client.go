@@ -391,29 +391,32 @@ func (c *Client) SegmentsOf(path string) ([]ids.SegID, error) {
 }
 
 // Remove unlinks a file and eagerly deletes all replicas of its segments
-// (paper §4.1.1). Unlocatable segments are skipped; their location-table
-// entries age out.
+// (paper §4.1.1). The namespace goes first — its answer carries the entry —
+// then the index is fetched for the data segments' names. Unlocatable
+// segments are skipped; their location-table entries age out.
 func (c *Client) Remove(path string) error {
-	entry, err := c.Stat(path)
-	if err != nil {
-		return err
-	}
-	var segs []ids.SegID
-	if entry.Version > 0 {
-		idx, _, ierr := c.fetchIndex(entry)
-		if ierr == nil && idx != nil {
-			for _, ref := range idx.Segs {
-				segs = append(segs, ref.ID)
-			}
-		}
-		segs = append(segs, entry.FileID)
-	}
 	resp, err := c.ns(wire.NSRemove{Path: path})
 	if err != nil {
 		return err
 	}
-	if r, ok := resp.(wire.NSRemoveResp); !ok || !r.OK {
+	r, ok := resp.(wire.NSRemoveResp)
+	switch {
+	case ok && r.NotFound:
+		return ErrNotFound
+	case !ok || !r.OK:
 		return fmt.Errorf("core: remove %s: %s", path, r.Err)
+	}
+	entry := r.Entry
+	if entry.Version == 0 {
+		return nil // never committed: no segments exist
+	}
+	segs := []ids.SegID{entry.FileID}
+	// The fetch that reads the index also says who holds it.
+	idx, indexOwners, ierr := c.fetchIndex(entry)
+	if ierr == nil {
+		for _, ref := range idx.Segs {
+			segs = append(segs, ref.ID)
+		}
 	}
 	// Eager removal (paper §4.1.1): every replica of every segment is
 	// deleted before Remove returns. Distinct segments are deleted in
@@ -421,9 +424,15 @@ func (c *Client) Remove(path string) error {
 	// unlink latency grows with the replication degree in Figure 9.
 	fanout(len(segs), c.parallelism(), func(i int) error {
 		seg := segs[i]
-		owners, lerr := c.locate(seg)
-		if lerr != nil {
-			return nil
+		var owners []wire.OwnerInfo
+		if seg == entry.FileID {
+			owners = indexOwners
+		}
+		if len(owners) == 0 {
+			var lerr error
+			if owners, lerr = c.locate(seg); lerr != nil {
+				return nil
+			}
 		}
 		for _, o := range owners {
 			c.call(o.Node, wire.SegDelete{Seg: seg})

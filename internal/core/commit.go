@@ -44,11 +44,9 @@ func (f *File) Commit(opts CommitOptions) error {
 	}
 	// A never-committed file publishes version 1 even when empty, so a
 	// create/close pair leaves a committed (empty) file behind.
-	f.mu.Unlock()
 
 	// Snapshot the segments this commit touches (for the synchronous
 	// propagation option).
-	f.mu.Lock()
 	touched := make([]ids.SegID, 0, len(f.dirty)+1)
 	for seg := range f.dirty {
 		touched = append(touched, seg)
@@ -162,8 +160,9 @@ func (f *File) commitBegin(ctx context.Context) (wire.NSCommitBeginResp, error) 
 	}
 }
 
-// commitBody runs steps (8)–(9): prepare data shadows, rewrite the index
-// shadow, prepare it, commit everything, and complete at the namespace.
+// commitBody runs steps (8)–(9): prepare data shadows, rewrite and prepare
+// the index shadow (one request), commit everything, and complete at the
+// namespace.
 func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) error {
 	// Group dirty data segments by their shadow's provider.
 	f.mu.Lock()
@@ -215,7 +214,8 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 		}
 	}
 
-	// Fold the planned versions into the index and write its shadow.
+	// Fold the planned versions into the index, then phase one on the index
+	// segment: its planned version is the file's next version.
 	f.mu.Lock()
 	for i := range f.idx.Segs {
 		if pl, ok := planned[f.idx.Segs[i].ID]; ok {
@@ -231,22 +231,10 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 		size = int64(len(f.idx.Attached))
 	}
 	f.mu.Unlock()
-	indexNode, err := f.writeIndexShadow(ctx, encoded)
+	indexNode, newVer, err := f.writeIndexShadow(ctx, encoded)
 	if err != nil {
 		return err
 	}
-
-	// Phase one on the index segment: its planned version is the file's
-	// next version.
-	resp, err := f.c.callRetry(ctx, indexNode, wire.Prepare2PC{Owner: f.owner, Segs: []ids.SegID{f.entry.FileID}})
-	if err != nil {
-		return err
-	}
-	pr, ok := resp.(wire.Prepare2PCResp)
-	if !ok || !pr.OK {
-		return fmt.Errorf("core: prepare index on %s: %s", indexNode, pr.Err)
-	}
-	newVer := pr.PlannedVers[0]
 
 	// Phase two everywhere: data participants in parallel, then the index
 	// segment last — its commit is what makes the new version reachable.
@@ -268,7 +256,7 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 	if err != nil {
 		return err
 	}
-	resp, err = f.c.callRetry(ctx, indexNode, wire.Commit2PC{Owner: f.owner, Segs: []ids.SegID{f.entry.FileID}, Planned: []uint64{newVer}})
+	resp, err := f.c.callRetry(ctx, indexNode, wire.Commit2PC{Owner: f.owner, Segs: []ids.SegID{f.entry.FileID}, Planned: []uint64{newVer}})
 	if err != nil {
 		return err
 	}
@@ -312,76 +300,63 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 	return nil
 }
 
-// writeIndexShadow places (on first commit) or shadows the index segment
-// and rewrites its content.
-func (f *File) writeIndexShadow(ctx context.Context, encoded []byte) (wire.NodeID, error) {
+// writeIndexShadow is the index segment's whole leg of phase one, in one
+// request to one node: place the segment (first commit) or pick an owner,
+// then shadow it, replace its content with the encoded index and prepare it
+// there. It returns that node and the planned version — the file's next.
+func (f *File) writeIndexShadow(ctx context.Context, encoded []byte) (wire.NodeID, uint64, error) {
 	fid := f.entry.FileID
-	f.mu.Lock()
-	d := f.dirty[fid]
-	f.mu.Unlock()
 	var node wire.NodeID
-	if d != nil {
-		node = d.node
-	} else {
-		if f.baseVer == 0 {
-			// First commit: place the index segment. Index segments are
-			// small, so the home host gets the 3N bias (paper §3.7.2).
-			home := f.c.members.HomeOf(fid)
-			n, err := f.c.place(f.attrs, int64(len(encoded)), home, true, nil)
-			if err != nil {
-				return "", err
-			}
-			node = n
-		} else {
-			owners, err := f.segOwners(fid)
-			if err != nil {
-				return "", err
-			}
-			// Prefer a live owner so a commit retry after an index-site
-			// death lands on a surviving replica.
-			ordered := orderOwners(owners, f.c.ep.Host())
-			node = ordered[0].Node
-			for _, o := range ordered {
-				if f.c.members.IsLive(o.Node) {
-					node = o.Node
-					break
-				}
-			}
-		}
-		resp, err := f.c.callRetry(ctx, node, wire.SegShadow{
-			Owner:             f.owner,
-			Seg:               fid,
-			BaseVer:           0,
-			TTLSec:            f.c.cfg.ShadowTTL.Seconds(),
-			ReplDeg:           f.attrs.ReplDeg,
-			LocalityThreshold: 0, // index segments follow reads, not locality policy
-		})
+	if f.baseVer == 0 {
+		// First commit: place the index segment. Index segments are
+		// small, so the home host gets the 3N bias (paper §3.7.2).
+		home := f.c.members.HomeOf(fid)
+		n, err := f.c.place(f.attrs, int64(len(encoded)), home, true, nil)
 		if err != nil {
-			f.dropCachedOwner(fid, node)
-			return "", err
+			return "", 0, err
 		}
-		if r, ok := resp.(wire.SegShadowResp); !ok || !r.OK {
-			return "", fmt.Errorf("core: index shadow on %s: %s", node, r.Err)
+		node = n
+	} else {
+		owners, err := f.segOwners(fid)
+		if err != nil {
+			return "", 0, err
 		}
-		f.mu.Lock()
-		f.dirty[fid] = &dirtySeg{node: node, isNew: f.baseVer == 0}
-		f.mu.Unlock()
+		// Prefer a live owner so a commit retry after an index-site
+		// death lands on a surviving replica.
+		ordered := orderOwners(owners, f.c.ep.Host())
+		node = ordered[0].Node
+		for _, o := range ordered {
+			if f.c.members.IsLive(o.Node) {
+				node = o.Node
+				break
+			}
+		}
 	}
-	resp, err := f.c.callRetry(ctx, node, wire.SegWrite{Owner: f.owner, Seg: fid, Offset: 0, Data: encoded})
+	// Recorded before the request goes out: a lost reply can leave a prepared
+	// shadow holding the segment's commit slot, and abortAll must reach it.
+	f.mu.Lock()
+	f.dirty[fid] = &dirtySeg{node: node, isNew: f.baseVer == 0}
+	f.mu.Unlock()
+	// Same bytes, same owner: the participant treats a resend as the same
+	// prepare, so a lost response is safe to retry.
+	resp, err := f.c.callRetry(ctx, node, wire.SegShadow{
+		Owner:             f.owner,
+		Seg:               fid,
+		TTLSec:            f.c.cfg.ShadowTTL.Seconds(),
+		ReplDeg:           f.attrs.ReplDeg,
+		LocalityThreshold: 0, // index segments follow reads, not locality policy
+		Prepare:           true,
+		Data:              encoded,
+	})
 	if err != nil {
-		return "", err
+		f.dropCachedOwner(fid, node)
+		return "", 0, err
 	}
-	if r, ok := resp.(wire.SegWriteResp); !ok || !r.OK {
-		return "", fmt.Errorf("core: index write: %s", r.Err)
+	r, ok := resp.(wire.SegShadowResp)
+	if !ok || !r.OK {
+		return "", 0, fmt.Errorf("core: prepare index on %s: %s", node, r.Err)
 	}
-	resp, err = f.c.callRetry(ctx, node, wire.SegTruncate{Owner: f.owner, Seg: fid, Size: int64(len(encoded))})
-	if err != nil {
-		return "", err
-	}
-	if r, ok := resp.(wire.GenericResp); !ok || !r.OK {
-		return "", fmt.Errorf("core: index truncate: %s", r.Err)
-	}
-	return node, nil
+	return node, r.NewVer, nil
 }
 
 // abortAll rolls back every open shadow of the session.

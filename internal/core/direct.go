@@ -54,17 +54,9 @@ func (f *File) materializeDirect() error {
 	f.mu.Lock()
 	encoded := f.idx.Encode()
 	f.mu.Unlock()
-	indexNode, err := f.writeIndexShadow(context.Background(), encoded)
+	indexNode, newVer, err := f.writeIndexShadow(context.Background(), encoded)
 	if err != nil {
 		return err
-	}
-	resp, err := f.c.call(indexNode, wire.Prepare2PC{Owner: f.owner, Segs: []ids.SegID{f.entry.FileID}})
-	if err != nil {
-		return err
-	}
-	pr, ok := resp.(wire.Prepare2PCResp)
-	if !ok || !pr.OK {
-		return fmt.Errorf("core: prepare direct index: %s", pr.Err)
 	}
 	if cr, err := f.c.call(indexNode, wire.Commit2PC{Owner: f.owner, Segs: []ids.SegID{f.entry.FileID}}); err != nil {
 		return err
@@ -72,7 +64,7 @@ func (f *File) materializeDirect() error {
 		return fmt.Errorf("core: commit direct index: %s", g.Err)
 	}
 	if cresp, err := f.c.ns(wire.NSCommitComplete{
-		FileID: f.entry.FileID, Path: f.path, NewVer: pr.PlannedVers[0],
+		FileID: f.entry.FileID, Path: f.path, NewVer: newVer,
 		Ticket: begin.Ticket, NewSize: f.attrs.DeclaredSize,
 	}); err != nil {
 		return err
@@ -80,7 +72,7 @@ func (f *File) materializeDirect() error {
 		return fmt.Errorf("core: complete direct create: %s", g.Err)
 	}
 	f.mu.Lock()
-	f.baseVer = pr.PlannedVers[0]
+	f.baseVer = newVer
 	f.entry.Version = f.baseVer
 	f.dirty = make(map[ids.SegID]*dirtySeg)
 	f.indexDirty = false

@@ -181,31 +181,42 @@ func (c *Client) fetchIndex(entry wire.FileEntry) (*layout.Index, []wire.OwnerIn
 	return idx, owners, nil
 }
 
-// readWhole fetches an entire segment version via SegFetch, using the
-// location protocol (home first, multicast backup).
+// readWhole fetches an entire segment version via SegFetch. With no owners
+// cached it asks the home host for the bytes rather than for directions: a
+// small segment's home host is usually its owner (the 3N placement bias,
+// paper §3.7.2), and one that is not answers with the owners instead. An
+// unreachable or unknowing home host leaves the multicast probe, as in
+// locate. It returns the owners it learned alongside the data.
 func (c *Client) readWhole(seg ids.SegID, ver uint64, cached []wire.OwnerInfo) ([]byte, []wire.OwnerInfo, error) {
 	owners := cached
+	var lastErr error
+	var home wire.NodeID
 	if len(owners) == 0 {
-		var err error
-		owners, err = c.locate(seg)
-		if err != nil {
-			return nil, nil, err
+		if home = c.members.HomeOf(seg); home != "" {
+			r, err := c.fetchFrom(home, seg, ver)
+			if err == nil && r.OK {
+				return r.Data, r.Owners, nil
+			}
+			lastErr = err
+			owners = r.Owners
+		}
+		if len(owners) == 0 {
+			var err error
+			if owners, err = c.probe(seg); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	var lastErr error
 	for _, o := range orderOwners(owners, c.ep.Host()) {
-		resp, err := c.call(o.Node, wire.SegFetch{Seg: seg, Version: ver})
+		if o.Node == home {
+			continue // it answered above
+		}
+		r, err := c.fetchFrom(o.Node, seg, ver)
 		if err != nil {
 			lastErr = err
-			c.noteDead(o.Node, err)
 			continue
 		}
-		if r, ok := resp.(wire.SegFetchResp); ok && r.OK {
-			if !fetchRespIntact(r) {
-				lastErr = fmt.Errorf("core: fetch %s from %s: checksum mismatch", seg.Short(), o.Node)
-				c.readMismatches.Inc()
-				continue
-			}
+		if r.OK {
 			if lastErr != nil {
 				c.failovers.Inc()
 			}
@@ -216,6 +227,22 @@ func (c *Client) readWhole(seg ids.SegID, ver uint64, cached []wire.OwnerInfo) (
 		lastErr = ErrUnlocatable
 	}
 	return nil, owners, lastErr
+}
+
+// fetchFrom is one SegFetch to one node. A reply that is not OK is not an
+// error: the node does not serve that version, and Owners is its redirect.
+func (c *Client) fetchFrom(node wire.NodeID, seg ids.SegID, ver uint64) (wire.SegFetchResp, error) {
+	resp, err := c.call(node, wire.SegFetch{Seg: seg, Version: ver})
+	if err != nil {
+		c.noteDead(node, err)
+		return wire.SegFetchResp{}, err
+	}
+	r, _ := resp.(wire.SegFetchResp)
+	if r.OK && !fetchRespIntact(r) {
+		c.readMismatches.Inc()
+		return wire.SegFetchResp{Owners: r.Owners}, fmt.Errorf("core: fetch %s from %s: checksum mismatch", seg.Short(), node)
+	}
+	return r, nil
 }
 
 // orderOwners prefers a co-located owner, otherwise keeps the newest-first

@@ -384,7 +384,8 @@ func (s *Server) Remove(path string) wire.NSRemoveResp {
 	defer s.mu.Unlock()
 	entry, err := s.removeLocked(path)
 	if err != nil {
-		return wire.NSRemoveResp{Err: err.Error()}
+		// removeLocked fails for one reason only: path names no file.
+		return wire.NSRemoveResp{Err: err.Error(), NotFound: true}
 	}
 	s.logOp(Op{Kind: OpRemove, Path: path})
 	delete(s.commits, entry.FileID)

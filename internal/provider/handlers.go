@@ -31,9 +31,6 @@ func (h *handler) HandleCall(ctx context.Context, from wire.NodeID, req any) (an
 		return p.handleWrite(from, m), nil
 	case wire.SegShadowRead:
 		return p.handleShadowRead(m), nil
-	case wire.SegTruncate:
-		p.charge()
-		return genResp(p.store.TruncateShadow(m.Owner, m.Seg, m.Size)), nil
 	case wire.SegRenew:
 		p.charge()
 		return genResp(p.store.Renew(m.Owner, m.Seg, time.Duration(m.TTLSec*float64(time.Second)))), nil
@@ -191,7 +188,20 @@ func (p *Provider) handleShadow(m wire.SegShadow) wire.SegShadowResp {
 	if replDeg <= 0 {
 		replDeg = 1
 	}
-	created, size, err := p.store.Shadow(m.Owner, m.Seg, m.BaseVer, time.Duration(m.TTLSec*float64(time.Second)), replDeg, m.LocalityThreshold)
+	ttl := time.Duration(m.TTLSec * float64(time.Second))
+	if m.Prepare {
+		// The index leg of a commit: shadow, whole content and phase one in
+		// one request, counted as the prepare it replaces.
+		p.pm.prepare2PC.Inc()
+		start := p.clock.Now()
+		defer func() { p.pm.prepareLat.ObserveDuration(p.clock.Now() - start) }()
+		planned, err := p.store.ReplaceAndPrepare(m.Owner, m.Seg, m.Data, ttl, replDeg, m.LocalityThreshold)
+		if err != nil {
+			return wire.SegShadowResp{Err: err.Error()}
+		}
+		return wire.SegShadowResp{OK: true, NewVer: planned, Size: int64(len(m.Data))}
+	}
+	created, size, err := p.store.Shadow(m.Owner, m.Seg, m.BaseVer, ttl, replDeg, m.LocalityThreshold)
 	if err != nil {
 		return wire.SegShadowResp{Err: err.Error()}
 	}
@@ -224,13 +234,29 @@ func (p *Provider) handleShadowRead(m wire.SegShadowRead) wire.SegReadResp {
 	return wire.SegReadResp{OK: true, Data: data, EOF: int64(len(data)) < m.Length}
 }
 
+// handleFetch serves a whole segment version. A client's index fetch comes
+// to the home host first (paper §3.7.2: the home host of a small segment is
+// usually its owner), so the answer always carries the location table's
+// owners: beside the payload when this node holds the version, in place of
+// it when it does not.
 func (p *Provider) handleFetch(m wire.SegFetch) wire.SegFetchResp {
 	p.charge()
 	data, ver, replDeg, locThresh, sums, err := p.store.Fetch(m.Seg, m.Version)
+	owners := p.table.Owners(m.Seg)
 	if err != nil {
-		return wire.SegFetchResp{Err: err.Error()}
+		// Not here, not at that version, or not intact: the owners this node
+		// knows of (as home host) go back as a redirect, never with OK set —
+		// a puller installs whatever an OK response carries.
+		return wire.SegFetchResp{Err: err.Error(), Owners: owners}
 	}
-	return wire.SegFetchResp{OK: true, Version: ver, Data: data, ReplDeg: replDeg, LocalityThreshold: locThresh, Sums: sums}
+	self := false
+	for _, o := range owners {
+		self = self || o.Node == p.id
+	}
+	if !self {
+		owners = append([]wire.OwnerInfo{{Node: p.id, Version: ver}}, owners...)
+	}
+	return wire.SegFetchResp{OK: true, Version: ver, Data: data, ReplDeg: replDeg, LocalityThreshold: locThresh, Sums: sums, Owners: owners}
 }
 
 func (p *Provider) handleFetchDelta(m wire.SegFetchDelta) wire.SegFetchDeltaResp {

@@ -173,11 +173,13 @@ func TestDeltaHandlesShrinkingFile(t *testing.T) {
 	src.Create(seg, base, 1, 0, false)
 	dst.Install(seg, 1, base, 1, 0)
 
-	// Commit a truncation to 10 bytes.
-	src.Shadow("w", seg, 0, time.Minute, 1, 0)
-	src.TruncateShadow("w", seg, 10)
-	src.Prepare("w", seg)
-	src.CommitPrepared("w", seg)
+	// Commit a whole-content replace that shrinks the segment to 10 bytes.
+	if _, err := src.ReplaceAndPrepare("w", seg, bytes.Repeat([]byte{'y'}, 10), time.Minute, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, size, err := src.CommitPrepared("w", seg); err != nil || size != 10 {
+		t.Fatalf("commit: size %d, err %v", size, err)
+	}
 
 	ranges, size, ver, rd, lt, full, sums, err := src.FetchDelta(seg, 1)
 	if err != nil {

@@ -246,14 +246,7 @@ func (st *Store) Install(seg ids.SegID, ver uint64, data []byte, replDeg int, lo
 	defer st.mu.Unlock()
 	s, ok := st.segs[seg]
 	if !ok {
-		s = &segment{
-			versions:          make(map[uint64][]byte),
-			shadows:           make(map[string]*shadow),
-			replDeg:           replDeg,
-			localityThreshold: locThresh,
-			lastAccess:        st.clock.Now(),
-		}
-		st.segs[seg] = s
+		s = st.newSegmentLocked(seg, replDeg, locThresh)
 	}
 	if ver <= s.latest {
 		st.disk.Free(int64(len(data)))
@@ -278,14 +271,7 @@ func (st *Store) Shadow(owner string, seg ids.SegID, baseVer uint64, ttl time.Du
 		if baseVer != 0 {
 			return false, 0, ErrNotFound
 		}
-		s = &segment{
-			versions:          make(map[uint64][]byte),
-			shadows:           make(map[string]*shadow),
-			replDeg:           replDeg,
-			localityThreshold: locThresh,
-			lastAccess:        st.clock.Now(),
-		}
-		st.segs[seg] = s
+		s = st.newSegmentLocked(seg, replDeg, locThresh)
 	}
 	if s.direct {
 		return false, 0, ErrIsDirect
@@ -311,6 +297,20 @@ func (st *Store) Shadow(owner string, seg ids.SegID, baseVer uint64, ttl time.Du
 		expiry: st.expiryLocked(ttl),
 	}
 	return true, baseSize, nil
+}
+
+// newSegmentLocked registers a record for a segment this store has not seen:
+// no committed version yet, policies as supplied.
+func (st *Store) newSegmentLocked(seg ids.SegID, replDeg int, locThresh float64) *segment {
+	s := &segment{
+		versions:          make(map[uint64][]byte),
+		shadows:           make(map[string]*shadow),
+		replDeg:           replDeg,
+		localityThreshold: locThresh,
+		lastAccess:        st.clock.Now(),
+	}
+	st.segs[seg] = s
+	return s
 }
 
 func (st *Store) expiryLocked(ttl time.Duration) time.Duration {
@@ -388,25 +388,6 @@ func (st *Store) ReadShadow(owner string, seg ids.SegID, off, n int64) ([]byte, 
 	return dst, nil
 }
 
-// TruncateShadow resizes an open shadow.
-func (st *Store) TruncateShadow(owner string, seg ids.SegID, size int64) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, sh, err := st.shadowLocked(owner, seg)
-	if err != nil {
-		return err
-	}
-	if sh.prepared {
-		return ErrPrepared
-	}
-	released := sh.ext.truncate(size)
-	sh.size = size
-	if released > 0 {
-		st.disk.Free(released)
-	}
-	return nil
-}
-
 // Renew resets a shadow's expiration timer (paper §3.5: the application
 // must commit or reset the timer before it expires).
 func (st *Store) Renew(owner string, seg ids.SegID, ttl time.Duration) error {
@@ -459,23 +440,75 @@ func (st *Store) Prepare(owner string, seg ids.SegID) (plannedVer uint64, size i
 	if err != nil {
 		return 0, 0, err
 	}
+	if err := st.prepareLocked(s, owner, sh); err != nil {
+		return 0, 0, err
+	}
+	return sh.planned, sh.size, nil
+}
+
+// prepareLocked is phase one on an open shadow: an expired shadow is dropped,
+// another session's hold on the commit slot is respected, and otherwise the
+// slot is taken and the planned version fixed. Preparing an already-prepared
+// shadow again is idempotent (same planned version): a coordinator whose
+// prepare response was lost can safely retry the whole round.
+func (st *Store) prepareLocked(s *segment, owner string, sh *shadow) error {
 	if sh.expiry != 0 && st.clock.Now() > sh.expiry {
 		st.dropShadowLocked(s, owner, sh)
-		return 0, 0, ErrExpired
+		return ErrExpired
 	}
 	if s.commitOwner != "" && s.commitOwner != owner {
-		return 0, 0, ErrPrepared
+		return ErrPrepared
 	}
-	// Re-preparing an already-prepared shadow is idempotent (same planned
-	// version): a coordinator whose prepare response was lost can safely
-	// retry the whole round.
-	if sh.prepared {
-		return sh.planned, sh.size, nil
+	if !sh.prepared {
+		s.commitOwner = owner
+		sh.prepared = true
+		sh.planned = s.latest + 1
 	}
-	s.commitOwner = owner
-	sh.prepared = true
-	sh.planned = s.latest + 1
-	return sh.planned, sh.size, nil
+	return nil
+}
+
+// ReplaceAndPrepare is the whole shadow life of a segment that is rewritten
+// in full at every commit (a file's index segment), in one step: it opens
+// the session's shadow of seg or renews the one it has, makes data the
+// shadow's entire content, and prepares it as Prepare does. It fails as
+// Prepare fails (an expired shadow is dropped) and then leaves everything
+// else as it was. Repeating it is safe: a shadow this session already
+// prepared keeps its commit slot and planned version and takes the newest
+// data, so a coordinator may resend after a lost reply, or re-plan with
+// other bytes after a lost abort.
+func (st *Store) ReplaceAndPrepare(owner string, seg ids.SegID, data []byte, ttl time.Duration, replDeg int, locThresh float64) (plannedVer uint64, err error) {
+	size := int64(len(data))
+	if err := st.disk.Alloc(size); err != nil {
+		return 0, err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s, ok := st.segs[seg]
+	if !ok {
+		s = st.newSegmentLocked(seg, replDeg, locThresh)
+	}
+	sh, open := s.shadows[owner]
+	if !open {
+		sh = &shadow{base: s.latest}
+	}
+	if s.direct {
+		err = ErrIsDirect
+	} else {
+		err = st.prepareLocked(s, owner, sh)
+	}
+	if err != nil {
+		st.disk.Free(size)
+		return 0, err
+	}
+	s.shadows[owner] = sh
+	sh.expiry = st.expiryLocked(ttl)
+	// Cutting at 0 hides the base for good; the one extent is the content.
+	st.disk.Free(sh.ext.truncate(0))
+	sh.ext.write(0, data)
+	sh.size = size
+	s.lastAccess = st.clock.Now()
+	st.disk.WriteAsync(size)
+	return sh.planned, nil
 }
 
 // CommitPrepared is 2PC phase two: the shadow becomes the latest committed

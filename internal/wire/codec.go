@@ -58,7 +58,7 @@ const (
 	tagSegWrite
 	tagSegWriteResp
 	tagSegShadowRead
-	tagSegTruncate
+	_ // retired (shadow truncate); the slot stays reserved
 	tagSegRenew
 	tagSegDrop
 	tagSegDelete
@@ -330,7 +330,6 @@ func init() {
 	reg[SegWrite](tagSegWrite, "SegWrite")
 	reg[SegWriteResp](tagSegWriteResp, "SegWriteResp")
 	reg[SegShadowRead](tagSegShadowRead, "SegShadowRead")
-	reg[SegTruncate](tagSegTruncate, "SegTruncate")
 	reg[SegRenew](tagSegRenew, "SegRenew")
 	reg[SegDrop](tagSegDrop, "SegDrop")
 	reg[SegDelete](tagSegDelete, "SegDelete")
@@ -861,17 +860,19 @@ func (m *NSRemove) decodeWire(r *wireReader)  { m.Path = r.str() }
 
 func (NSRemoveResp) wireTag() uint16 { return tagNSRemoveResp }
 func (m NSRemoveResp) encodedSize() int {
-	return boolSize + strSize(m.Err) + fileEntrySize(&m.Entry)
+	return boolSize + strSize(m.Err) + fileEntrySize(&m.Entry) + boolSize
 }
 func (m NSRemoveResp) appendWire(b []byte) []byte {
 	b = appendBool(b, m.OK)
 	b = appendStr(b, m.Err)
-	return appendFileEntry(b, &m.Entry)
+	b = appendFileEntry(b, &m.Entry)
+	return appendBool(b, m.NotFound)
 }
 func (m *NSRemoveResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
 	m.Err = r.str()
 	m.Entry = r.fileEntry()
+	m.NotFound = r.bool_()
 }
 
 func (NSMkdir) wireTag() uint16              { return tagNSMkdir }
@@ -1138,7 +1139,7 @@ func (m *SegCreateResp) decodeWire(r *wireReader) {
 
 func (SegShadow) wireTag() uint16 { return tagSegShadow }
 func (m SegShadow) encodedSize() int {
-	return strSize(m.Owner) + idSize + numSize*4
+	return strSize(m.Owner) + idSize + numSize*4 + boolSize + bytesSize(m.Data)
 }
 func (m SegShadow) appendWire(b []byte) []byte {
 	b = appendStr(b, m.Owner)
@@ -1146,7 +1147,9 @@ func (m SegShadow) appendWire(b []byte) []byte {
 	b = appendU64(b, m.BaseVer)
 	b = appendF64(b, m.TTLSec)
 	b = appendInt(b, m.ReplDeg)
-	return appendF64(b, m.LocalityThreshold)
+	b = appendF64(b, m.LocalityThreshold)
+	b = appendBool(b, m.Prepare)
+	return appendBytes(b, m.Data)
 }
 func (m *SegShadow) decodeWire(r *wireReader) {
 	m.Owner = r.str()
@@ -1155,6 +1158,8 @@ func (m *SegShadow) decodeWire(r *wireReader) {
 	m.TTLSec = r.f64()
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
+	m.Prepare = r.bool_()
+	m.Data = r.bytes()
 }
 
 func (SegShadowResp) wireTag() uint16 { return tagSegShadowResp }
@@ -1225,21 +1230,6 @@ func (m *SegShadowRead) decodeWire(r *wireReader) {
 	m.Seg = r.id()
 	m.Offset = r.i64()
 	m.Length = r.i64()
-}
-
-func (SegTruncate) wireTag() uint16 { return tagSegTruncate }
-func (m SegTruncate) encodedSize() int {
-	return strSize(m.Owner) + idSize + numSize
-}
-func (m SegTruncate) appendWire(b []byte) []byte {
-	b = appendStr(b, m.Owner)
-	b = appendID(b, m.Seg)
-	return appendI64(b, m.Size)
-}
-func (m *SegTruncate) decodeWire(r *wireReader) {
-	m.Owner = r.str()
-	m.Seg = r.id()
-	m.Size = r.i64()
 }
 
 func (SegRenew) wireTag() uint16 { return tagSegRenew }
@@ -1328,7 +1318,7 @@ func (m *SegFetch) decodeWire(r *wireReader) {
 func (SegFetchResp) wireTag() uint16 { return tagSegFetchResp }
 func (m SegFetchResp) encodedSize() int {
 	return boolSize + strSize(m.Err) + numSize + bytesSize(m.Data) + numSize + numSize +
-		u32sSize(m.Sums)
+		u32sSize(m.Sums) + ownersSize(m.Owners)
 }
 func (m SegFetchResp) appendWire(b []byte) []byte {
 	b = appendBool(b, m.OK)
@@ -1337,7 +1327,8 @@ func (m SegFetchResp) appendWire(b []byte) []byte {
 	b = appendBytes(b, m.Data)
 	b = appendInt(b, m.ReplDeg)
 	b = appendF64(b, m.LocalityThreshold)
-	return appendU32s(b, m.Sums)
+	b = appendU32s(b, m.Sums)
+	return appendOwners(b, m.Owners)
 }
 func (m *SegFetchResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
@@ -1347,6 +1338,7 @@ func (m *SegFetchResp) decodeWire(r *wireReader) {
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
 	m.Sums = r.u32s()
+	m.Owners = r.owners()
 }
 
 func (GenericResp) wireTag() uint16 { return tagGenericResp }

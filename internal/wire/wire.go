@@ -220,6 +220,9 @@ type NSRemoveResp struct {
 	OK    bool
 	Err   string
 	Entry FileEntry
+	// NotFound marks the failure "path names no file", so an unlink that
+	// starts here can tell a missing file from a server-side error.
+	NotFound bool
 }
 
 // NSMkdir creates a directory.
@@ -361,13 +364,19 @@ type SegShadow struct {
 	// shadow creates a brand-new segment.
 	ReplDeg           int
 	LocalityThreshold float64
+	// Prepare folds the index leg of a commit into this one request (2PC
+	// with the vote piggy-backed on the last write): the shadow is opened or
+	// renewed, its whole content becomes Data, and it is prepared exactly as
+	// by Prepare2PC. Commit2PC and Abort2PC finish it as usual.
+	Prepare bool
+	Data    []byte
 }
 
 // SegShadowResp acknowledges shadow creation.
 type SegShadowResp struct {
 	OK      bool
 	Err     string
-	NewVer  uint64 // the version the shadow will commit as
+	NewVer  uint64 // with SegShadow.Prepare: the version the shadow will commit as
 	Size    int64
 	Created bool // false when a shadow already existed (renewed instead)
 }
@@ -396,13 +405,6 @@ type SegWriteResp struct {
 	OK  bool
 	Err string
 	N   int
-}
-
-// SegTruncate resizes an open shadow.
-type SegTruncate struct {
-	Owner string
-	Seg   ids.SegID
-	Size  int64
 }
 
 // SegRenew resets a shadow's expiration timer.
@@ -441,13 +443,14 @@ type SegStatResp struct {
 }
 
 // SegFetch retrieves a whole segment version (replica sync, repair,
-// migration).
+// migration, and a client's index fetch — sent to the home host first).
 type SegFetch struct {
 	Seg     ids.SegID
 	Version uint64 // 0 = latest committed
 }
 
-// SegFetchResp carries the full segment payload.
+// SegFetchResp carries the full segment payload, or — when OK is false — no
+// payload and the owners the answering node knows of, as a redirect.
 type SegFetchResp struct {
 	OK      bool
 	Err     string
@@ -462,6 +465,10 @@ type SegFetchResp struct {
 	// these sums (not recomputed ones) with the replica. Nil for direct
 	// (versioning-off) segments, which carry no integrity metadata.
 	Sums []uint32
+	// Owners is the answering node's view of who holds the segment, newest
+	// version first: its location-table entries (non-empty on the segment's
+	// home host) plus, when it served the payload, itself.
+	Owners []OwnerInfo
 }
 
 // DeltaRange is one changed byte range shipped by delta replica sync.
