@@ -6,7 +6,7 @@
 
 RACE_PKGS := ./internal/core ./internal/segstore ./internal/provider ./internal/cluster ./internal/wire ./internal/simtime ./internal/simnet ./internal/proxy ./internal/transport
 
-.PHONY: check build test vet gob-guard race regress bench-build bench bench-transport scrub-chaos bench-scrub
+.PHONY: check build test vet gob-guard race regress bench-build bench bench-transport bench-segstore scrub-chaos bench-scrub
 
 check: build vet gob-guard test race
 
@@ -58,6 +58,13 @@ bench-harness:
 # a namespace-sized call, a 12 KiB SegWrite and a 1 MiB SegReadResp.
 bench-transport:
 	go test -run XXX -bench 'BenchmarkTCPCall' -benchmem ./internal/transport
+
+# A provider's foreground write path for one segment: a 2 MiB data segment
+# written front to back in 256 KiB pieces and committed, and a 12 KiB index
+# segment replaced whole. MB/s, B/op and allocs/op name the layer when the
+# benchmark's bulk-host write_MB_per_s or commit_p50_ms moves.
+bench-segstore:
+	go test -run XXX -bench 'BenchmarkCommitSequential' -benchmem ./internal/segstore
 
 # Harness scaling sweep: CPU per modeled second, heartbeat keep-up, and
 # per-node control bytes at 128/256/512 providers → BENCH_harness.json.

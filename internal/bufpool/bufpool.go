@@ -7,6 +7,9 @@
 // array-prefix slice of its backing array, and exactly one live slice may
 // reference that array when it is Put back. Callers that subslice a pooled
 // buffer must either keep the prefix (which inherits the array) or copy.
+// Putting a buffer back is optional: a caller may instead keep one for good
+// (segstore does, when a shadow's buffer becomes a committed version that
+// readers alias); it has then left the pool and only the GC frees it.
 package bufpool
 
 import "sync"

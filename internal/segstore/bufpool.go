@@ -12,7 +12,9 @@ import "repro/internal/bufpool"
 // reference that array. Splitting an extent therefore keeps the head (a
 // prefix subslice, which inherits the array) and copies the tail into a
 // fresh pooled buffer — returning the head to the pool later returns the
-// whole array without freeing bytes someone else still reads.
+// whole array without freeing bytes someone else still reads. A buffer that
+// CommitPrepared adopts as a committed version has left the pool: readers
+// alias versions, so it is never poolPut and only the GC frees it.
 const (
 	minPoolClass = bufpool.MinClass
 	maxPoolClass = bufpool.MaxClass

@@ -1,6 +1,9 @@
 package segstore
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // extent is one contiguous written range of a copy-on-write shadow.
 type extent struct {
@@ -21,47 +24,54 @@ type extentMap struct {
 	limited   bool
 }
 
-// write inserts data at off, replacing any overlapped ranges. It returns
-// the number of newly covered bytes (for space accounting). The payload is
+// write inserts data at off, replacing any overlapped ranges. The payload is
 // copied into a pooled buffer, so the caller's data (typically a wire
 // message) is never retained.
-func (m *extentMap) write(off int64, data []byte) int64 {
+func (m *extentMap) write(off int64, data []byte) {
 	if len(data) == 0 {
-		return 0
+		return
 	}
+	// A sequential writer starts exactly where the last extent ends: append
+	// into that extent's spare capacity, moving it to one larger pooled
+	// buffer when that runs out, so the payload is copied once.
+	if n := len(m.exts); n > 0 && m.exts[n-1].end() == off {
+		last := &m.exts[n-1]
+		if need := len(last.data) + len(data); need > cap(last.data) {
+			grown := poolGet(need)[:len(last.data)]
+			copy(grown, last.data)
+			poolPut(last.data)
+			last.data = grown
+		}
+		last.data = append(last.data, data...)
+		return
+	}
+	end := off + int64(len(data))
 	newExt := extent{off: off, data: poolGet(len(data))}
 	copy(newExt.data, data)
-	covered := m.coveredWithin(off, newExt.end())
-	out := m.exts[:0:0]
-	for _, e := range m.exts {
-		switch {
-		case e.end() <= newExt.off || e.off >= newExt.end():
-			out = append(out, e)
-		default:
-			// Overlap: keep the non-overlapped head and/or tail. The head
-			// stays an array-prefix subslice of e's buffer (inheriting its
-			// pool ownership); the tail would alias the middle of the same
-			// array, so it moves into its own pooled buffer.
-			headKept := false
-			if e.off < newExt.off {
-				out = append(out, extent{off: e.off, data: e.data[:newExt.off-e.off]})
-				headKept = true
-			}
-			if e.end() > newExt.end() {
-				src := e.data[newExt.end()-e.off:]
-				tail := extent{off: newExt.end(), data: poolGet(len(src))}
-				copy(tail.data, src)
-				out = append(out, tail)
-			}
-			if !headKept {
-				poolPut(e.data)
-			}
+	// The list is sorted and non-overlapping, so the extents the write
+	// overlaps are one run exts[i:j], which repl replaces.
+	i := sort.Search(len(m.exts), func(k int) bool { return m.exts[k].end() > off })
+	j := i
+	repl := append(make([]extent, 0, 3), newExt)
+	for ; j < len(m.exts) && m.exts[j].off < end; j++ {
+		// Keep the non-overlapped head and/or tail. The head stays an
+		// array-prefix subslice of e's buffer (inheriting its pool
+		// ownership); the tail would alias the middle of the same array, so
+		// it moves into its own pooled buffer.
+		e := m.exts[j]
+		if e.end() > end {
+			src := e.data[end-e.off:]
+			tail := extent{off: end, data: poolGet(len(src))}
+			copy(tail.data, src)
+			repl = append(repl, tail)
+		}
+		if e.off < off {
+			repl = slices.Insert(repl, 0, extent{off: e.off, data: e.data[:off-e.off]})
+		} else {
+			poolPut(e.data)
 		}
 	}
-	out = append(out, newExt)
-	sort.Slice(out, func(i, j int) bool { return out[i].off < out[j].off })
-	m.exts = m.coalesce(out)
-	return int64(len(data)) - covered
+	m.exts = m.coalesce(slices.Replace(m.exts, i, j, repl...))
 }
 
 // coalesce merges adjacent extents to bound the index size, recycling the
@@ -91,7 +101,8 @@ func (m *extentMap) coalesce(exts []extent) []extent {
 	return out
 }
 
-// coveredWithin returns how many bytes in [lo,hi) existing extents cover.
+// coveredWithin returns how many bytes in [lo,hi) existing extents cover; a
+// write of that range newly covers the rest (space accounting).
 func (m *extentMap) coveredWithin(lo, hi int64) int64 {
 	var n int64
 	for _, e := range m.exts {
@@ -119,14 +130,11 @@ func (m *extentMap) read(off int64, dst []byte, base []byte) {
 	if m.limited && m.baseLimit < baseLen {
 		baseLen = m.baseLimit
 	}
-	for i := range dst {
-		p := off + int64(i)
-		if base != nil && p < baseLen {
-			dst[i] = base[p]
-		} else {
-			dst[i] = 0
-		}
+	n := 0
+	if off < baseLen {
+		n = copy(dst, base[off:baseLen])
 	}
+	clear(dst[n:])
 	hi := off + int64(len(dst))
 	for _, e := range m.exts {
 		if e.end() <= off || e.off >= hi {
@@ -171,8 +179,9 @@ func (m *extentMap) truncate(size int64) int64 {
 }
 
 // release recycles every extent buffer and empties the map. Callers must
-// ensure nothing aliases the extents — committed versions and read
-// responses are always copies, so a shadow's death is a safe point.
+// ensure nothing aliases the extents: shadow reads are copies, and a commit
+// that adopts an extent's buffer as the version takes that extent out of
+// the map first, so a shadow's death is a safe point.
 func (m *extentMap) release() {
 	for _, e := range m.exts {
 		poolPut(e.data)

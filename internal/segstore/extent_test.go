@@ -10,7 +10,8 @@ import (
 func TestExtentWriteAndRead(t *testing.T) {
 	var m extentMap
 	base := []byte("aaaaaaaaaa") // 10 bytes
-	if got := m.write(2, []byte("XX")); got != 2 {
+	m.write(2, []byte("XX"))
+	if got := m.writtenBytes(); got != 2 {
 		t.Errorf("write covered %d new bytes, want 2", got)
 	}
 	dst := make([]byte, 10)
@@ -23,9 +24,10 @@ func TestExtentWriteAndRead(t *testing.T) {
 func TestExtentOverwriteDoesNotGrow(t *testing.T) {
 	var m extentMap
 	m.write(0, []byte("abcd"))
-	if grown := m.write(1, []byte("ZZ")); grown != 0 {
-		t.Errorf("overwrite grew %d bytes", grown)
+	if covered := m.coveredWithin(1, 3); covered != 2 {
+		t.Errorf("coveredWithin(1, 3) = %d before an overwrite, want 2", covered)
 	}
+	m.write(1, []byte("ZZ"))
 	dst := make([]byte, 4)
 	m.read(0, dst, nil)
 	if string(dst) != "aZZd" {
@@ -93,50 +95,80 @@ func TestExtentCoalesceAdjacent(t *testing.T) {
 }
 
 // TestExtentMatchesFlatModel property-tests the extent map against a naive
-// flat-buffer implementation under random write/truncate sequences.
+// flat-buffer implementation under random sequences of writes, truncations
+// and runs of appends over a non-empty base, reading back both the whole
+// view and a window that may start inside, at the end of or past the base.
 func TestExtentMatchesFlatModel(t *testing.T) {
 	type op struct {
-		Truncate bool
-		Off      uint16
-		Len      uint8
-		Fill     byte
+		Kind uint8 // 0-1 write, 2 truncate, 3 a run of appends
+		Off  uint16
+		Len  uint8
+		Fill byte
 	}
-	f := func(base []byte, ops []op) bool {
-		if len(base) > 512 {
-			base = base[:512]
-		}
+	f := func(baseLen uint16, ops []op, readOff, readLen uint16) bool {
+		base := bytes.Repeat([]byte{0xBA}, 1+int(baseLen%512))
 		var m extentMap
 		flat := append([]byte(nil), base...)
-		size := int64(len(base))
+		write := func(off int64, data []byte) {
+			end := off + int64(len(data))
+			want := m.writtenBytes() + int64(len(data)) - m.coveredWithin(off, end)
+			m.write(off, data)
+			if int64(len(flat)) < end {
+				flat = append(flat, make([]byte, end-int64(len(flat)))...)
+			}
+			copy(flat[off:end], data)
+			if got := m.writtenBytes(); got != want {
+				t.Errorf("write(%d, %d bytes) left %d bytes written; coveredWithin promised %d", off, len(data), got, want)
+			}
+		}
 		for _, o := range ops {
 			off := int64(o.Off % 600)
-			if o.Truncate {
-				newSize := off
-				m.truncate(newSize)
-				size = newSize
-				if int64(len(flat)) > size {
-					flat = flat[:size]
+			data := bytes.Repeat([]byte{o.Fill}, int(o.Len%64)+1)
+			switch o.Kind % 4 {
+			case 2:
+				m.truncate(off)
+				if int64(len(flat)) > off {
+					flat = flat[:off]
 				}
-				continue
+			case 3:
+				// A sequential writer: each piece starts where the last
+				// extent ends (or at off when nothing is written yet).
+				if len(m.exts) > 0 {
+					off = m.maxEnd()
+				}
+				for i := 0; i < 1+int(o.Len%5); i++ {
+					write(off, data)
+					off += int64(len(data))
+				}
+			default:
+				write(off, data)
 			}
-			n := int64(o.Len%64) + 1
-			data := bytes.Repeat([]byte{o.Fill}, int(n))
-			m.write(off, data)
-			if off+n > size {
-				size = off + n
+		}
+		for i, e := range m.exts {
+			if len(e.data) == 0 || (i > 0 && m.exts[i-1].end() >= e.off) {
+				t.Errorf("extent %d = [%d,%d) is empty, out of order or not coalesced with its neighbour", i, e.off, e.end())
 			}
-			if int64(len(flat)) < size {
-				flat = append(flat, make([]byte, size-int64(len(flat)))...)
-			}
-			copy(flat[off:off+n], data)
+		}
+		size := int64(len(flat))
+		if m.maxEnd() > size {
+			return false
 		}
 		got := make([]byte, size)
 		m.read(0, got, base)
-		want := make([]byte, size)
-		copy(want, flat)
-		return bytes.Equal(got, want)
+		if !bytes.Equal(got, flat) {
+			return false
+		}
+		// A window into a view twice as long, over a dirty buffer: read must
+		// fill every byte, and past the written bytes the view is zeros,
+		// never base bytes that a truncation cut off.
+		view := append(append([]byte(nil), flat...), make([]byte, len(flat)+1)...)
+		lo := int(readOff) % len(view)
+		hi := min(len(view), lo+int(readLen%700))
+		win := bytes.Repeat([]byte{0xEE}, hi-lo)
+		m.read(int64(lo), win, base)
+		return bytes.Equal(win, view[lo:hi])
 	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +176,7 @@ func TestExtentMatchesFlatModel(t *testing.T) {
 
 func TestExtentEmptyWrite(t *testing.T) {
 	var m extentMap
-	if m.write(5, nil) != 0 {
-		t.Error("empty write grew")
-	}
+	m.write(5, nil)
 	if len(m.exts) != 0 {
 		t.Error("empty write left an extent")
 	}

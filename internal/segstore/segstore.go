@@ -345,18 +345,19 @@ func (st *Store) WriteShadow(owner string, seg ids.SegID, off int64, data []byte
 		st.mu.Unlock()
 		return 0, ErrPrepared
 	}
-	grown := sh.ext.write(off, data)
-	if end := off + int64(len(data)); end > sh.size {
+	// Reserve the newly covered bytes before touching the shadow, so a write
+	// the disk refuses leaves content and accounting exactly as they were.
+	end := off + int64(len(data))
+	if err := st.disk.Alloc(int64(len(data)) - sh.ext.coveredWithin(off, end)); err != nil {
+		st.mu.Unlock()
+		return 0, err
+	}
+	sh.ext.write(off, data)
+	if end > sh.size {
 		sh.size = end
 	}
 	s.lastAccess = st.clock.Now()
 	st.mu.Unlock()
-
-	if grown > 0 {
-		if err := st.disk.Alloc(grown); err != nil {
-			return 0, err
-		}
-	}
 	st.disk.WriteAsync(int64(len(data)))
 	return len(data), nil
 }
@@ -409,11 +410,11 @@ func (st *Store) Drop(owner string, seg ids.SegID) error {
 	if err != nil {
 		return err
 	}
-	st.dropShadowLocked(s, owner, sh)
+	st.dropShadowLocked(seg, s, owner, sh)
 	return nil
 }
 
-func (st *Store) dropShadowLocked(s *segment, owner string, sh *shadow) {
+func (st *Store) dropShadowLocked(seg ids.SegID, s *segment, owner string, sh *shadow) {
 	if s.commitOwner == owner {
 		s.commitOwner = ""
 	}
@@ -422,12 +423,7 @@ func (st *Store) dropShadowLocked(s *segment, owner string, sh *shadow) {
 	delete(s.shadows, owner)
 	// A brand-new segment whose only shadow is dropped disappears.
 	if s.latest == 0 && len(s.shadows) == 0 {
-		for seg, cand := range st.segs {
-			if cand == s {
-				delete(st.segs, seg)
-				break
-			}
-		}
+		delete(st.segs, seg)
 	}
 }
 
@@ -440,7 +436,7 @@ func (st *Store) Prepare(owner string, seg ids.SegID) (plannedVer uint64, size i
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := st.prepareLocked(s, owner, sh); err != nil {
+	if err := st.prepareLocked(seg, s, owner, sh); err != nil {
 		return 0, 0, err
 	}
 	return sh.planned, sh.size, nil
@@ -451,9 +447,9 @@ func (st *Store) Prepare(owner string, seg ids.SegID) (plannedVer uint64, size i
 // slot is taken and the planned version fixed. Preparing an already-prepared
 // shadow again is idempotent (same planned version): a coordinator whose
 // prepare response was lost can safely retry the whole round.
-func (st *Store) prepareLocked(s *segment, owner string, sh *shadow) error {
+func (st *Store) prepareLocked(seg ids.SegID, s *segment, owner string, sh *shadow) error {
 	if sh.expiry != 0 && st.clock.Now() > sh.expiry {
-		st.dropShadowLocked(s, owner, sh)
+		st.dropShadowLocked(seg, s, owner, sh)
 		return ErrExpired
 	}
 	if s.commitOwner != "" && s.commitOwner != owner {
@@ -494,7 +490,7 @@ func (st *Store) ReplaceAndPrepare(owner string, seg ids.SegID, data []byte, ttl
 	if s.direct {
 		err = ErrIsDirect
 	} else {
-		err = st.prepareLocked(s, owner, sh)
+		err = st.prepareLocked(seg, s, owner, sh)
 	}
 	if err != nil {
 		st.disk.Free(size)
@@ -525,17 +521,11 @@ func (st *Store) CommitPrepared(owner string, seg ids.SegID) (ver uint64, size i
 		st.mu.Unlock()
 		return 0, 0, ErrUnprepared
 	}
-	buf := make([]byte, sh.size)
 	var base []byte
 	if sh.base != 0 {
 		base = s.versions[sh.base]
 	}
-	sh.ext.read(0, buf, base)
 	written := sh.ext.writtenBytes()
-	st.sealVerifiedLocked(s, sh.planned, buf)
-	if s.changes == nil {
-		s.changes = make(map[uint64][]rng)
-	}
 	var ch []rng
 	for _, e := range sh.ext.exts {
 		ch = append(ch, rng{off: e.off, end: e.end()})
@@ -549,10 +539,26 @@ func (st *Store) CommitPrepared(owner string, seg ids.SegID) (ver uint64, size i
 		}
 		ch = append(ch, rng{off: lo, end: sh.size})
 	}
+	var buf []byte
+	if e := sh.ext.exts; len(e) == 1 && e[0].off == 0 && e[0].end() == sh.size && int64(cap(e[0].data))-sh.size <= sh.size/8 {
+		// One extent is the whole content, so the base contributes nothing:
+		// the shadow's buffer IS the version. It leaves the pool for good
+		// (readers alias versions; nothing may ever poolPut one), which the
+		// slack bound keeps to at most 1.125x a version's bytes held.
+		buf = e[0].data[:sh.size:sh.size]
+		sh.ext.exts = nil
+	} else {
+		buf = make([]byte, sh.size)
+		sh.ext.read(0, buf, base)
+		sh.ext.release()
+	}
+	st.sealVerifiedLocked(s, sh.planned, buf)
+	if s.changes == nil {
+		s.changes = make(map[uint64][]rng)
+	}
 	s.changes[sh.planned] = mergeRanges(ch)
 	s.latest = sh.planned
 	s.commitOwner = ""
-	sh.ext.release() // the version buffer is a copy; the extents are dead
 	delete(s.shadows, owner)
 	st.consolidateLocked(s)
 	s.lastAccess = st.clock.Now()
@@ -585,7 +591,7 @@ func (st *Store) AbortPrepared(owner string, seg ids.SegID) error {
 	if err != nil {
 		return err
 	}
-	st.dropShadowLocked(s, owner, sh)
+	st.dropShadowLocked(seg, s, owner, sh)
 	return nil
 }
 
@@ -645,8 +651,9 @@ func (st *Store) Read(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint64, 
 		st.nVerifiedBlocks.Add((off+n-1)/wire.SumBlock - off/wire.SumBlock + 1)
 	}
 	// Committed versions of versioned segments are immutable once built
-	// (CommitPrepared, Install and ApplyDelta all create fresh buffers), so
-	// the response aliases the stored bytes instead of copying them —
+	// (Install and ApplyDelta create fresh buffers; CommitPrepared does too,
+	// or adopts a shadow buffer that then leaves the pool for good), so the
+	// response aliases the stored bytes instead of copying them —
 	// receivers must not mutate message payloads (wire convention). Direct
 	// segments are the exception: WriteDirect patches the version in place,
 	// so they serve copies.
@@ -830,10 +837,10 @@ func (st *Store) ExpireShadows() int {
 	defer st.mu.Unlock()
 	now := st.clock.Now()
 	n := 0
-	for _, s := range st.segs {
+	for seg, s := range st.segs {
 		for owner, sh := range s.shadows {
 			if sh.expiry != 0 && now > sh.expiry && !sh.prepared {
-				st.dropShadowLocked(s, owner, sh)
+				st.dropShadowLocked(seg, s, owner, sh)
 				n++
 			}
 		}
@@ -855,7 +862,7 @@ func (st *Store) CrashRecover() (shadows, corrupt int) {
 	defer st.mu.Unlock()
 	for seg, s := range st.segs {
 		for owner, sh := range s.shadows {
-			st.dropShadowLocked(s, owner, sh)
+			st.dropShadowLocked(seg, s, owner, sh)
 			shadows++
 		}
 		s.commitOwner = ""

@@ -11,7 +11,7 @@ import (
 	"repro/internal/simtime"
 )
 
-func newStore(t *testing.T) *Store {
+func newStore(t testing.TB) *Store {
 	t.Helper()
 	clock := simtime.NewClock(0.0001)
 	d := disk.New(clock, "test", disk.SCSI10K(), 1<<30)
