@@ -456,12 +456,17 @@ func (c *Client) locate(seg ids.SegID) ([]wire.OwnerInfo, error) {
 			}
 		}
 	}
-	return c.probe(seg)
+	return c.probe(seg, 0)
 }
 
-// probe issues the multicast backup query (paper §3.4.2) and collects the
-// first answer.
-func (c *Client) probe(seg ids.SegID) ([]wire.OwnerInfo, error) {
+// probe issues the multicast backup query (paper §3.4.2) and returns on the
+// first answer at version want or later, together with the answers collected
+// so far. Waiting for more would add a full think-time to every backup
+// lookup; but an owner that is behind — a restarted replica, often the one
+// co-located with the asker — answers first as readily as a current one, and
+// returning on it alone would hide the replicas that can serve. A lookup whose
+// every answer is behind costs one ProbeTimeout and returns what it has.
+func (c *Client) probe(seg ids.SegID, want uint64) ([]wire.OwnerInfo, error) {
 	nonce := c.nonceSeq.Add(1)
 	ch := make(chan wire.LocProbeResp, 8)
 	c.mu.Lock()
@@ -481,50 +486,28 @@ func (c *Client) probe(seg ids.SegID) ([]wire.OwnerInfo, error) {
 		probeWait = floor
 	}
 	timeout := c.clock.After(probeWait)
-	select {
-	case pr := <-ch:
-		// The first owner answers the query; any further responses drain
-		// into the buffered channel and are discarded. Waiting to collect
-		// more would add a full think-time to every backup lookup.
-		owners := []wire.OwnerInfo{{Node: pr.Owner, Version: pr.Version}}
-		for {
-			select {
-			case pr2 := <-ch:
-				owners = append(owners, wire.OwnerInfo{Node: pr2.Owner, Version: pr2.Version})
-			default:
-				return owners, nil
+	var owners []wire.OwnerInfo
+	current := false
+	for {
+		select {
+		case pr := <-ch:
+			owners = append(owners, wire.OwnerInfo{Node: pr.Owner, Version: pr.Version})
+			current = current || pr.Version >= want
+			if current && len(ch) == 0 {
+				return owners, nil // later answers are dropped
 			}
+		case <-timeout:
+			if len(owners) == 0 {
+				return nil, fmt.Errorf("%w: probe for %s got no answers", ErrUnlocatable, seg.Short())
+			}
+			return owners, nil
 		}
-	case <-timeout:
-		return nil, fmt.Errorf("%w: probe for %s got no answers", ErrUnlocatable, seg.Short())
 	}
-}
-
-// candidates snapshots live providers for placement. Draining providers
-// (admin plane: being evacuated ahead of retirement) are excluded so no new
-// data lands on them, unless every live provider is draining — then placing
-// on a draining node still beats failing the write.
-func (c *Client) candidates() []placement.Candidate {
-	loads := c.members.Loads()
-	out := make([]placement.Candidate, 0, len(loads))
-	var all []placement.Candidate
-	for node, l := range loads {
-		cand := placement.Candidate{Node: node, Load: l.Load, FreeBytes: l.FreeBytes}
-		all = append(all, cand)
-		if l.Draining {
-			continue
-		}
-		out = append(out, cand)
-	}
-	if len(out) == 0 {
-		return all
-	}
-	return out
 }
 
 // place chooses a provider for a new segment per the file's policy.
 func (c *Client) place(attrs wire.FileAttrs, segSize int64, home wire.NodeID, small bool, exclude map[wire.NodeID]bool) (wire.NodeID, error) {
-	cands := c.candidates()
+	cands := placement.FromLoads(c.members.Loads())
 	if len(cands) == 0 {
 		return "", ErrNoProviders
 	}

@@ -170,7 +170,7 @@ func (c *Client) open(path string, writable bool, ver uint64) (*File, error) {
 
 // fetchIndex retrieves and decodes the index segment for a committed file.
 func (c *Client) fetchIndex(entry wire.FileEntry) (*layout.Index, []wire.OwnerInfo, error) {
-	data, owners, err := c.readWhole(entry.FileID, entry.Version, nil)
+	data, owners, err := c.readWhole(entry.FileID, entry.Version)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: fetch index of %s: %w", entry.Path, err)
 	}
@@ -181,46 +181,46 @@ func (c *Client) fetchIndex(entry wire.FileEntry) (*layout.Index, []wire.OwnerIn
 	return idx, owners, nil
 }
 
-// readWhole fetches an entire segment version via SegFetch. With no owners
-// cached it asks the home host for the bytes rather than for directions: a
-// small segment's home host is usually its owner (the 3N placement bias,
-// paper §3.7.2), and one that is not answers with the owners instead. An
-// unreachable or unknowing home host leaves the multicast probe, as in
-// locate. It returns the owners it learned alongside the data.
-func (c *Client) readWhole(seg ids.SegID, ver uint64, cached []wire.OwnerInfo) ([]byte, []wire.OwnerInfo, error) {
-	owners := cached
+// readWhole fetches an entire segment version via SegFetch. It asks the home
+// host for the bytes rather than for directions: a small segment's home host
+// is usually its owner (the 3N placement bias, paper §3.7.2), and one that is
+// not answers with the owners instead. When the home host is unreachable,
+// knows no owner, or names only owners that do not serve the version — a home
+// host back from a crash knows itself alone, one version behind — the
+// multicast probe finds the rest, as in locate. It returns the owners it
+// learned alongside the data.
+func (c *Client) readWhole(seg ids.SegID, ver uint64) ([]byte, []wire.OwnerInfo, error) {
 	var lastErr error
-	var home wire.NodeID
-	if len(owners) == 0 {
-		if home = c.members.HomeOf(seg); home != "" {
-			r, err := c.fetchFrom(home, seg, ver)
-			if err == nil && r.OK {
-				return r.Data, r.Owners, nil
-			}
-			lastErr = err
-			owners = r.Owners
+	var owners []wire.OwnerInfo
+	home := c.members.HomeOf(seg)
+	if home != "" {
+		r, err := c.fetchFrom(home, seg, ver)
+		if err == nil && r.OK {
+			return r.Data, r.Owners, nil
 		}
-		if len(owners) == 0 {
-			var err error
-			if owners, err = c.probe(seg); err != nil {
-				return nil, nil, err
-			}
-		}
+		lastErr, owners = err, r.Owners
 	}
-	for _, o := range orderOwners(owners, c.ep.Host()) {
-		if o.Node == home {
-			continue // it answered above
-		}
-		r, err := c.fetchFrom(o.Node, seg, ver)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if r.OK {
-			if lastErr != nil {
-				c.failovers.Inc()
+	for probed := false; ; probed = true {
+		for _, o := range orderOwners(owners, c.ep.Host()) {
+			if o.Node == home {
+				continue // it answered above
 			}
-			return r.Data, owners, nil
+			r, err := c.fetchFrom(o.Node, seg, ver)
+			if err != nil {
+				lastErr = err
+			} else if r.OK {
+				if lastErr != nil {
+					c.failovers.Inc()
+				}
+				return r.Data, owners, nil
+			}
+		}
+		if probed {
+			break
+		}
+		var err error
+		if owners, err = c.probe(seg, ver); err != nil {
+			return nil, nil, err
 		}
 	}
 	if lastErr == nil {
@@ -429,7 +429,7 @@ func (f *File) readCommittedPiece(ref layout.SegRef, piece layout.Piece) ([]byte
 		}
 	}
 	// Backup scheme.
-	owners, err := f.c.probe(ref.ID)
+	owners, err := f.c.probe(ref.ID, ver)
 	if err != nil {
 		return nil, err
 	}

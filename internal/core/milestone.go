@@ -36,7 +36,7 @@ func (c *Client) pin(path string, ver uint64, unpin bool) error {
 	}
 	// Fetch the index *at the milestone version* to learn the data segment
 	// versions it references.
-	data, _, err := c.readWhole(entry.FileID, ver, nil)
+	data, _, err := c.readWhole(entry.FileID, ver)
 	if err != nil {
 		return fmt.Errorf("core: pin %s v%d: %w", path, ver, err)
 	}

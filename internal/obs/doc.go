@@ -30,8 +30,8 @@
 //	sorrento_provider_2pc_seconds{node,phase}     histogram: per-phase handler latency
 //	sorrento_provider_shadows_open{node}          gauge: shadow segments currently open
 //	sorrento_provider_loc_queries_total{node,result} counter: home-host lookups, result="hit"|"miss"
-//	sorrento_provider_pulls_total{node,kind}      counter: replica syncs, kind="delta"|"full"
-//	sorrento_provider_migrations_total{node,trigger} counter: migration decisions by trigger (ioload/space/locality)
+//	sorrento_transfer_total{node,reason,outcome}  counter: every background mover — reason="sync"|"replicate"|"scrub"|"migrate-ioload"|"migrate-space"|"migrate-locality"|"drain", outcome="delta"|"full"|"retry"|"reject"|"fail"|"handoff"
+//	sorrento_transfer_bytes_total{node,reason}    counter: bytes accepted by pulls, bytes handed off by sources
 //	sorrento_provider_load_fl{node}               gauge: f_l, the EWMA I/O load input to migration decisions
 //	sorrento_provider_segments{node}              gauge: committed segments resident in the store
 //	sorrento_namespace_commit_conflicts_total{kind} counter: CommitBegin rejections, kind="conflict"|"blocked"

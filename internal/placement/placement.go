@@ -71,6 +71,27 @@ type Candidate struct {
 	FreeBytes int64
 }
 
+// FromLoads turns a membership view's gossiped loads into candidates.
+// Draining providers (admin plane: being evacuated ahead of retirement) are
+// left out so no new data lands on them, unless every live provider is
+// draining — then placing on a draining node still beats failing the write.
+func FromLoads(loads map[wire.NodeID]wire.LoadInfo) []Candidate {
+	out := make([]Candidate, 0, len(loads))
+	var draining []Candidate
+	for node, l := range loads {
+		c := Candidate{Node: node, Load: l.Load, FreeBytes: l.FreeBytes}
+		if l.Draining {
+			draining = append(draining, c)
+		} else {
+			out = append(out, c)
+		}
+	}
+	if len(out) == 0 {
+		return draining
+	}
+	return out
+}
+
 // Options tune one selection.
 type Options struct {
 	// Alpha is the load/space favoritism (default 0.5 when negative).

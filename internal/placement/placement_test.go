@@ -311,3 +311,18 @@ func TestUnlabeledNodesPassRackFilter(t *testing.T) {
 		}
 	}
 }
+
+func TestFromLoadsSkipsDrainingUnlessAllAre(t *testing.T) {
+	loads := map[wire.NodeID]wire.LoadInfo{
+		"a": {Load: 0.2, FreeBytes: 100},
+		"b": {Load: 0.4, FreeBytes: 200, Draining: true},
+	}
+	got := FromLoads(loads)
+	if len(got) != 1 || got[0] != (Candidate{Node: "a", Load: 0.2, FreeBytes: 100}) {
+		t.Errorf("candidates %v, want only the serving node a", got)
+	}
+	loads["a"] = wire.LoadInfo{Draining: true}
+	if got := FromLoads(loads); len(got) != 2 {
+		t.Errorf("every node draining: candidates %v, want both rather than none", got)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/placement"
 	"repro/internal/wire"
 )
 
@@ -139,26 +138,10 @@ func (p *Provider) drainSegment(seg ids.SegID) error {
 	if !st.Present || st.HasShadow {
 		return fmt.Errorf("provider %s: drain %s: busy or gone", p.id, seg.Short())
 	}
-	exclude := map[wire.NodeID]bool{p.id: true}
-	var owners []wire.OwnerInfo
-	if home := p.homeOf(seg); home != "" {
-		if resp, err := p.call(home, wire.LocQuery{Seg: seg}); err == nil {
-			if q, ok := resp.(wire.LocQueryResp); ok {
-				owners = q.Owners
-				for _, o := range q.Owners {
-					exclude[o.Node] = true
-				}
-			}
-		}
-	}
-	dest, err := p.selector.Choose(p.candidates(), placement.Options{
-		Alpha:   0.5,
-		SegSize: st.Size,
-		Exclude: exclude,
-	})
+	owners := p.ownersOf(seg)
+	dest, err := p.chooseDest(st.Size, 0.5, owners, true)
 	if err != nil {
 		// No fresh site available; hand the copy to an existing owner.
-		dest = ""
 		for _, o := range owners {
 			if o.Node != p.id && o.Node != "" && p.members.IsLive(o.Node) {
 				dest = o.Node
@@ -169,5 +152,5 @@ func (p *Provider) drainSegment(seg ids.SegID) error {
 			return fmt.Errorf("provider %s: drain %s: no destination", p.id, seg.Short())
 		}
 	}
-	return p.migrateSegment(seg, dest)
+	return p.handOff(seg, dest, reasonDrain)
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/segstore"
+	"repro/internal/simtime"
 	"repro/internal/wire"
 )
 
@@ -84,7 +86,9 @@ func TestDrainAbortRacesEvacuation(t *testing.T) {
 // destination must refuse the ack — read-back verification — or the last
 // clean replica of a ReplDeg-1 segment would be destroyed.
 func TestHandoffRefusesLyingDestinationMedia(t *testing.T) {
-	c := startCluster(t, fastOpts(3))
+	opts := fastOpts(3)
+	opts.Obs = obs.New(simtime.Real())
+	c := startCluster(t, opts)
 	cl := mkClient(t, c, "c1")
 
 	attrs := wire.DefaultAttrs()
@@ -132,6 +136,9 @@ func TestHandoffRefusesLyingDestinationMedia(t *testing.T) {
 	}
 	if !sp.Store().VerifyVersion(entry.FileID, 0) {
 		t.Fatal("source copy no longer verifies clean")
+	}
+	if fail, ok := transfers(opts.Obs, src, "drain", "fail"), transfers(opts.Obs, src, "drain", "handoff"); fail == 0 || ok != 0 {
+		t.Errorf("source counted %d failed and %d completed hand-offs, want some and none", fail, ok)
 	}
 	got := make([]byte, len(payload))
 	g, err := cl.Open("/handoff")

@@ -72,7 +72,7 @@ func TestFetchRedirectNeverLooksLikeData(t *testing.T) {
 
 	// A puller pointed at it installs nothing from the redirect and gets the
 	// bytes from the next source it knows.
-	if g := puller.pullFrom(seg, "home", 0, 0); g.OK {
+	if err := puller.pullFrom(transfer{seg: seg, want: 2, reason: reasonReplicate}, "home"); err == nil {
 		t.Error("pullFrom accepted a redirect as a completed pull")
 	}
 	if puller.store.Stat(seg).Present {
@@ -80,7 +80,7 @@ func TestFetchRedirectNeverLooksLikeData(t *testing.T) {
 	}
 	puller.table.Update("src", entry, false)
 	puller.members.ObserveHeartbeat(wire.Heartbeat{From: "src", Seq: 1})
-	if g := puller.pullSegment(seg, 2, "home", 1, 0); !g.OK {
+	if g := puller.pull(transfer{seg: seg, want: 2, source: "home", replDeg: 1, reason: reasonReplicate}); !g.OK {
 		t.Fatalf("pull did not fail over to the next source: %s", g.Err)
 	}
 	if got, ver, err := puller.store.Read(seg, 0, 0, 100); err != nil || ver != 2 || string(got) != string(current) {

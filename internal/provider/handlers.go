@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/segstore"
 	"repro/internal/wire"
 )
@@ -41,7 +40,7 @@ func (h *handler) HandleCall(ctx context.Context, from wire.NodeID, req any) (an
 		p.charge()
 		err := p.store.Delete(m.Seg)
 		if err == nil {
-			p.notifyHome(m.Seg, true)
+			p.announce(m.Seg, true, false)
 		}
 		return genResp(err), nil
 	case wire.SegPin:
@@ -70,13 +69,7 @@ func (h *handler) HandleCall(ctx context.Context, from wire.NodeID, req any) (an
 		return wire.GenericResp{OK: true}, nil
 	case wire.LocUpdate:
 		p.charge()
-		p.table.Update(m.From, m.Entry, m.Removed)
-		if !m.Removed {
-			// Version advance: start update propagation to stale replicas
-			// right away (Figure 6 steps 10–12); the periodic repair scan
-			// remains the backstop.
-			p.propagateSeg(m.Entry.Seg)
-		}
+		p.recordUpdate(m.From, m.Entry, m.Removed)
 		return wire.GenericResp{OK: true}, nil
 	case wire.LocQuery:
 		p.charge()
@@ -92,7 +85,7 @@ func (h *handler) HandleCall(ctx context.Context, from wire.NodeID, req any) (an
 	case wire.ReplicateNotify:
 		return p.handleReplicate(m), nil
 	case wire.MigrateRequest:
-		return genResp(p.migrateSegment(m.Seg, m.Dest)), nil
+		return genResp(p.handOff(m.Seg, m.Dest, reasonLocality)), nil
 	case wire.AdminDrain:
 		if m.Node != "" && m.Node != p.id {
 			return wire.GenericResp{Err: fmt.Sprintf("provider %s: drain addressed to %s", p.id, m.Node)}, nil
@@ -178,7 +171,7 @@ func (p *Provider) handleCreate(from wire.NodeID, m wire.SegCreate) wire.SegCrea
 		return wire.SegCreateResp{Err: err.Error()}
 	}
 	p.store.RecordAccess(m.Seg, from, int64(len(m.Data)))
-	p.notifyHome(m.Seg, false)
+	p.announce(m.Seg, false, false)
 	return wire.SegCreateResp{OK: true}
 }
 
@@ -312,7 +305,7 @@ func (p *Provider) handleCommit(m wire.Commit2PC) wire.GenericResp {
 		}
 		// Fast-path location update: the segment's version advanced
 		// (paper §3.4.1 event 4, Figure 6 step 10).
-		p.notifyHome(seg, false)
+		p.announce(seg, false, false)
 	}
 	return wire.GenericResp{OK: true}
 }
@@ -326,216 +319,19 @@ func (p *Provider) handleAbort(m wire.Abort2PC) wire.GenericResp {
 	return wire.GenericResp{OK: true}
 }
 
-// handleSync pulls the latest version of a stale local replica from source
-// (lazy update propagation, §3.6).
+// handleSync brings a stale local replica up to date (lazy update
+// propagation, §3.6). A node that no longer holds the segment stays that way.
 func (p *Provider) handleSync(m wire.SyncNotify) wire.GenericResp {
 	p.charge()
-	st := p.store.Stat(m.Seg)
-	if !st.Present || st.Version >= m.Version {
-		if st.Present {
-			// Already current yet the home still thinks we're stale: our
-			// last location announcement was lost (e.g. to a partition).
-			// Re-announce, or the home re-notifies every repair scan until
-			// the next full refresh — a 15-minute livelock.
-			p.notifyHomeSync(m.Seg)
-		}
-		return wire.GenericResp{OK: true} // nothing to do
-	}
-	return p.pullSegment(m.Seg, m.Version, m.Source, 0, 0)
-}
-
-// handleReplicate makes this node a new replica site by pulling from source.
-func (p *Provider) handleReplicate(m wire.ReplicateNotify) wire.GenericResp {
-	p.charge()
-	if st := p.store.Stat(m.Seg); st.Present && st.Version >= m.Version {
-		// The home chose us as a new replica site because it does not know
-		// we already hold the segment; re-announce so the deficit clears.
-		p.notifyHomeSync(m.Seg)
-		if m.Handoff {
-			return p.verifyHandoff(m)
-		}
+	if !p.store.Stat(m.Seg).Present {
 		return wire.GenericResp{OK: true}
 	}
-	g := p.pullSegment(m.Seg, m.Version, m.Source, m.ReplDeg, m.LocalityThreshold)
-	if g.OK && m.Handoff {
-		return p.verifyHandoff(m)
-	}
-	return g
+	return p.pull(transfer{seg: m.Seg, want: m.Version, source: m.Source, reason: reasonSync})
 }
 
-// verifyHandoff read-back-verifies a migration-class install before the OK
-// that licenses the source to erase its copy. A coalesced pull (another
-// transfer in flight) or a media write fault both fail the check here, so
-// the source keeps the segment and the migration retries later; a corrupt
-// install is dropped on the spot rather than left for the scrubber.
-func (p *Provider) verifyHandoff(m wire.ReplicateNotify) wire.GenericResp {
-	if st := p.store.Stat(m.Seg); !st.Present || st.Version < m.Version {
-		return wire.GenericResp{Err: "handoff: replica not yet installed"}
-	}
-	if !p.store.VerifyVersion(m.Seg, 0) {
-		p.store.ScrubSegment(m.Seg)
-		return wire.GenericResp{Err: "handoff: installed bytes failed verification"}
-	}
-	return wire.GenericResp{OK: true}
-}
-
-// maxPullAttempts bounds how many times a replica pull is retried across
-// alternate sources before giving up and leaving the segment to the next
-// repair scan.
-const maxPullAttempts = 3
-
-// pullSegment brings the local replica up to the source's latest version:
-// delta sync when a local base version exists (paper §3.6: replicas
-// "retrieve the updates"), full fetch otherwise. Concurrent pulls of the
-// same segment are coalesced — repair scans re-notify long before a big
-// transfer finishes, and duplicate fetches would melt the links. A failed
-// pull is retried with backoff, rotating across the other live replica
-// sites the location table knows about, so a source that crashed between
-// notify and fetch does not wedge recovery.
-func (p *Provider) pullSegment(seg [16]byte, ver uint64, source wire.NodeID, replDeg int, locThresh float64) wire.GenericResp {
-	p.mu.Lock()
-	if p.pulling[seg] {
-		p.mu.Unlock()
-		return wire.GenericResp{OK: true} // already in progress
-	}
-	p.pulling[seg] = true
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.pulling, seg)
-		p.mu.Unlock()
-	}()
-	// Bound concurrent pulls so background sync cannot starve foreground
-	// traffic.
-	p.pullSem <- struct{}{}
-	defer func() { <-p.pullSem }()
-
-	sources := p.pullSources(seg, source)
-	var last wire.GenericResp
-	for attempt := 0; attempt < maxPullAttempts; attempt++ {
-		last = p.pullFrom(seg, sources[attempt%len(sources)], replDeg, locThresh)
-		if last.OK {
-			return last
-		}
-		if attempt+1 < maxPullAttempts {
-			p.pm.pullRetries.Inc()
-			if !p.sleepBackoff(attempt) {
-				return last // stopping
-			}
-		}
-	}
-	return last
-}
-
-// pullSources orders candidate fetch sources: the notified source first,
-// then any other live owners the location table knows for the segment.
-func (p *Provider) pullSources(seg ids.SegID, primary wire.NodeID) []wire.NodeID {
-	sources := []wire.NodeID{primary}
-	for _, o := range p.table.Owners(seg) {
-		if o.Node != primary && o.Node != p.id && p.members.IsLive(o.Node) {
-			sources = append(sources, o.Node)
-		}
-	}
-	return sources
-}
-
-// sleepBackoff sleeps an exponentially growing, seeded-jittered modeled
-// delay between pull attempts. Returns false when the provider is stopping.
-func (p *Provider) sleepBackoff(attempt int) bool {
-	base := 250 * time.Millisecond << uint(attempt)
-	p.mu.Lock()
-	d := base/2 + time.Duration(p.rng.Int63n(int64(base)))
-	p.mu.Unlock()
-	select {
-	case <-p.stop:
-		return false
-	case <-p.clock.After(d):
-		return true
-	}
-}
-
-// pullFrom is one pull attempt against one source.
-func (p *Provider) pullFrom(seg ids.SegID, source wire.NodeID, replDeg int, locThresh float64) wire.GenericResp {
-	local := p.store.Stat(seg)
-	if local.Present && local.Version > 0 {
-		resp, err := p.call(source, wire.SegFetchDelta{Seg: seg, HaveVer: local.Version})
-		if err != nil {
-			return wire.GenericResp{Err: err.Error()}
-		}
-		d, ok := resp.(wire.SegFetchDeltaResp)
-		if ok && d.OK {
-			if d.Version <= local.Version {
-				return wire.GenericResp{OK: true} // already current
-			}
-			if !d.FullFallback {
-				// ApplyDelta verifies the reconstructed buffer against the
-				// sender's commit-time sums before committing it (ErrCorrupt
-				// falls through to a full fetch like any local mismatch).
-				if err := p.store.ApplyDelta(seg, local.Version, d.Version, d.Ranges, d.Size, replDeg, locThresh, d.Sums); err == nil {
-					p.pm.pullsDelta.Inc()
-					p.notifyHomeSync(seg)
-					return wire.GenericResp{OK: true}
-				}
-				// Local state moved underneath us; fall through to a full
-				// fetch.
-			} else {
-				if !verifyPayload(d.Full, d.Sums) {
-					// Verify-on-replicate: never install bytes that fail the
-					// sender's commit-time sums — corruption must not
-					// propagate. Fail the attempt so the retry loop rotates
-					// to another source.
-					p.pm.pullRejects.Inc()
-					return wire.GenericResp{Err: "pull: payload failed checksum"}
-				}
-				if err := p.store.Install(seg, d.Version, d.Full, orDefault(replDeg, d.ReplDeg), orDefaultF(locThresh, d.LocalityThreshold)); err != nil {
-					return wire.GenericResp{Err: err.Error()}
-				}
-				p.pm.pullsFull.Inc()
-				p.notifyHomeSync(seg)
-				return wire.GenericResp{OK: true}
-			}
-		}
-	}
-	resp, err := p.call(source, wire.SegFetch{Seg: seg, Version: 0})
-	if err != nil {
-		return wire.GenericResp{Err: err.Error()}
-	}
-	f, ok := resp.(wire.SegFetchResp)
-	if !ok || !f.OK {
-		return wire.GenericResp{Err: "fetch failed: " + f.Err}
-	}
-	if !verifyPayload(f.Data, f.Sums) {
-		p.pm.pullRejects.Inc()
-		return wire.GenericResp{Err: "pull: payload failed checksum"}
-	}
-	if err := p.store.Install(seg, f.Version, f.Data, orDefault(replDeg, f.ReplDeg), orDefaultF(locThresh, f.LocalityThreshold)); err != nil {
-		return wire.GenericResp{Err: err.Error()}
-	}
-	p.pm.pullsFull.Inc()
-	p.notifyHomeSync(seg)
-	return wire.GenericResp{OK: true}
-}
-
-// verifyPayload checks a fetched payload against the sender's commit-time
-// sums. Nil sums means the payload carries no integrity metadata (direct
-// segments, which replication skips anyway) and is accepted as-is.
-func verifyPayload(data []byte, sums []uint32) bool {
-	if sums == nil {
-		return true
-	}
-	return wire.VerifySums(data, sums) < 0
-}
-
-func orDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func orDefaultF(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
+// handleReplicate makes this node a new replica site.
+func (p *Provider) handleReplicate(m wire.ReplicateNotify) wire.GenericResp {
+	p.charge()
+	return p.pull(transfer{seg: m.Seg, want: m.Version, source: m.Source, replDeg: m.ReplDeg,
+		locThresh: m.LocalityThreshold, handoff: m.Handoff, reason: reasonReplicate})
 }

@@ -1,13 +1,9 @@
 package provider
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/migration"
-	"repro/internal/placement"
-	"repro/internal/wire"
 )
 
 // MigrationConfig tunes the provider's migration engine (paper §3.7).
@@ -91,8 +87,7 @@ func (p *Provider) localityMigrate() bool {
 		if !migration.LocalityMove(p.id, node, share, threshold, p.members.IsLive) {
 			continue
 		}
-		if err := p.migrateSegment(seg, node); err == nil {
-			p.pm.migrLocality.Inc()
+		if p.handOff(seg, node, reasonLocality) == nil {
 			return true
 		}
 	}
@@ -115,78 +110,15 @@ func (p *Provider) loadMigrate() {
 	if !ok {
 		return
 	}
-	exclude := map[wire.NodeID]bool{p.id: true}
-	// Exclude the segment's other replica holders (known to its home host)
-	// so migration keeps replicas on distinct providers.
-	if home := p.homeOf(seg.ID); home != "" {
-		if resp, err := p.call(home, wire.LocQuery{Seg: seg.ID}); err == nil {
-			if q, ok := resp.(wire.LocQueryResp); ok {
-				for _, o := range q.Owners {
-					exclude[o.Node] = true
-				}
-			}
-		}
+	reason := reasonIOLoad
+	if trigger == migration.Space {
+		reason = reasonSpace
 	}
-	dest, err := p.selector.Choose(p.candidates(), placement.Options{
-		Alpha:   migration.DestAlpha(trigger),
-		SegSize: seg.Size,
-		Exclude: exclude,
-	})
-	if err != nil {
-		return
+	// The segment's other holders (known to its home host) are not sites, so
+	// migration keeps replicas on distinct providers.
+	if dest, err := p.chooseDest(seg.Size, migration.DestAlpha(trigger), p.ownersOf(seg.ID), true); err == nil {
+		p.handOff(seg.ID, dest, reason)
 	}
-	if p.migrateSegment(seg.ID, dest) == nil {
-		switch trigger {
-		case migration.IOLoad:
-			p.pm.migrIOLoad.Inc()
-		case migration.Space:
-			p.pm.migrSpace.Inc()
-		}
-	}
-}
-
-// migrateSegment moves one segment: the destination pulls a replica, then
-// the local copy is erased (migration = replicate elsewhere + erase local,
-// §3.7.1). Segments with open shadows are never migrated, and the local
-// erase is skipped if the segment's version advanced while the destination
-// was pulling — deleting then would destroy a newer committed version the
-// destination never received.
-func (p *Provider) migrateSegment(seg ids.SegID, dest wire.NodeID) error {
-	st := p.store.Stat(seg)
-	if !st.Present {
-		return fmt.Errorf("provider %s: migrate %s: not present", p.id, seg.Short())
-	}
-	if st.HasShadow {
-		return fmt.Errorf("provider %s: migrate %s: write session open", p.id, seg.Short())
-	}
-	if dest == p.id {
-		return fmt.Errorf("provider %s: migrate %s to self", p.id, seg.Short())
-	}
-	resp, err := p.call(dest, wire.ReplicateNotify{
-		Seg:               seg,
-		Version:           st.Version,
-		Source:            p.id,
-		ReplDeg:           st.ReplDeg,
-		LocalityThreshold: p.store.LocalityThreshold(seg),
-		// The local copy is erased on OK: make the destination read-back-
-		// verify before acking, so a lying media write cannot destroy the
-		// last clean replica.
-		Handoff: true,
-	})
-	if err != nil {
-		return err
-	}
-	if g, ok := resp.(wire.GenericResp); !ok || !g.OK {
-		return fmt.Errorf("provider %s: migrate %s to %s: %s", p.id, seg.Short(), dest, g.Err)
-	}
-	if after := p.store.Stat(seg); after.Version != st.Version || after.HasShadow {
-		return fmt.Errorf("provider %s: migrate %s: version advanced during transfer", p.id, seg.Short())
-	}
-	if err := p.store.Delete(seg); err != nil {
-		return err
-	}
-	p.notifyHome(seg, true)
-	return nil
 }
 
 // clusterStats snapshots cluster-wide I/O and space statistics (self

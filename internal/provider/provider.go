@@ -46,10 +46,6 @@ type Config struct {
 	// RepairBatch caps sync/replicate notifications per scan, shaping the
 	// background recovery rate.
 	RepairBatch int
-	// MaxPulls caps concurrent replica pulls on this node so background
-	// synchronization cannot starve foreground traffic (the paper limits
-	// migration to one active process per node for the same reason).
-	MaxPulls int
 	// Membership tunes heartbeats and failure detection.
 	Membership membership.Config
 	// Rack labels this node's failure domain; repair places new replicas
@@ -57,9 +53,6 @@ type Config struct {
 	Rack string
 	// Seed seeds placement decisions and jitter.
 	Seed int64
-	// HeartbeatLoadEWMA smooths the utilization samples gossiped in
-	// heartbeats.
-	HeartbeatLoadEWMA float64
 	// Migration tunes the migration engine; see Migration type.
 	Migration MigrationConfig
 	// ScrubInterval is the background integrity scrubber's cadence: every
@@ -75,8 +68,8 @@ type Config struct {
 	// by entering the draining state. Zero defaults; negative disables.
 	QuarantineThreshold int
 	// Obs enables the provider's domain metrics (2PC rounds, location-table
-	// hit/miss, replica pulls, migration decisions with their f_l/f_s
-	// inputs) plus disk/CPU resource gauges. Nil disables all of it.
+	// hit/miss, background transfers by reason and outcome, the f_l input to
+	// migration) plus disk/CPU resource gauges. Nil disables all of it.
 	Obs *obs.Obs
 }
 
@@ -88,17 +81,15 @@ const NoOpCost = -1 * time.Millisecond
 // left to experiments that need it).
 func DefaultConfig() Config {
 	return Config{
-		OpCost:            5 * time.Millisecond,
-		RefreshInterval:   15 * time.Minute,
-		JoinDelayMax:      20 * time.Second,
-		GarbageAge:        38 * time.Minute, // 2.5 × refresh
-		RepairInterval:    5 * time.Second,
-		RepairBatch:       4,
-		MaxPulls:          2,
-		Membership:        membership.DefaultConfig(),
-		Seed:              1,
-		HeartbeatLoadEWMA: 0.3,
-		Migration:         DefaultMigrationConfig(),
+		OpCost:          5 * time.Millisecond,
+		RefreshInterval: 15 * time.Minute,
+		JoinDelayMax:    20 * time.Second,
+		GarbageAge:      38 * time.Minute, // 2.5 × refresh
+		RepairInterval:  5 * time.Second,
+		RepairBatch:     4,
+		Membership:      membership.DefaultConfig(),
+		Seed:            1,
+		Migration:       DefaultMigrationConfig(),
 		// A gentle default: a full pass over a few hundred segments takes
 		// tens of minutes, matching real scrubbers' weeks-per-pass posture
 		// scaled to modeled runs. Chaos tests crank it way down.
@@ -160,24 +151,16 @@ type Provider struct {
 // at construction. All handles are nil when obs is off; every method on a
 // nil handle is a no-op, so call sites stay unconditional.
 type providerMetrics struct {
-	prepare2PC        *obs.Counter
-	commit2PC         *obs.Counter
-	abort2PC          *obs.Counter
-	prepareLat        *obs.Histogram
-	commitLat         *obs.Histogram
-	locHits           *obs.Counter
-	locMisses         *obs.Counter
-	pullsDelta        *obs.Counter
-	pullsFull         *obs.Counter
-	pullRetries       *obs.Counter
-	pullRejects       *obs.Counter // fetched payloads rejected by checksum verify
-	integrityRepaired *obs.Counter
-	quarantines       *obs.Counter
-	scrubLat          *obs.Histogram
-	migrIOLoad        *obs.Counter
-	migrSpace         *obs.Counter
-	migrLocality      *obs.Counter
-	loadFL            *obs.Gauge // f_l: the smoothed I/O load input to migration
+	prepare2PC  *obs.Counter
+	commit2PC   *obs.Counter
+	abort2PC    *obs.Counter
+	prepareLat  *obs.Histogram
+	commitLat   *obs.Histogram
+	locHits     *obs.Counter
+	locMisses   *obs.Counter
+	quarantines *obs.Counter
+	scrubLat    *obs.Histogram
+	loadFL      *obs.Gauge // f_l: the smoothed I/O load input to migration
 }
 
 // instrument registers the provider's observability surface: domain metric
@@ -190,24 +173,16 @@ func (p *Provider) instrument(d *disk.Disk) {
 	}
 	node := obs.L("node", string(p.id))
 	p.pm = providerMetrics{
-		prepare2PC:        reg.Counter("sorrento_provider_2pc_total", node, obs.L("phase", "prepare")),
-		commit2PC:         reg.Counter("sorrento_provider_2pc_total", node, obs.L("phase", "commit")),
-		abort2PC:          reg.Counter("sorrento_provider_2pc_total", node, obs.L("phase", "abort")),
-		prepareLat:        reg.Histogram("sorrento_provider_2pc_seconds", nil, node, obs.L("phase", "prepare")),
-		commitLat:         reg.Histogram("sorrento_provider_2pc_seconds", nil, node, obs.L("phase", "commit")),
-		locHits:           reg.Counter("sorrento_provider_loc_queries_total", node, obs.L("result", "hit")),
-		locMisses:         reg.Counter("sorrento_provider_loc_queries_total", node, obs.L("result", "miss")),
-		pullsDelta:        reg.Counter("sorrento_provider_pulls_total", node, obs.L("kind", "delta")),
-		pullsFull:         reg.Counter("sorrento_provider_pulls_total", node, obs.L("kind", "full")),
-		pullRetries:       reg.Counter("sorrento_provider_pull_retries_total", node),
-		pullRejects:       reg.Counter("sorrento_integrity_pull_rejects_total", node),
-		integrityRepaired: reg.Counter("sorrento_integrity_repaired_total", node),
-		quarantines:       reg.Counter("sorrento_integrity_quarantines_total", node),
-		scrubLat:          reg.Histogram("sorrento_integrity_scrub_seconds", nil, node),
-		migrIOLoad:        reg.Counter("sorrento_provider_migrations_total", node, obs.L("trigger", "ioload")),
-		migrSpace:         reg.Counter("sorrento_provider_migrations_total", node, obs.L("trigger", "space")),
-		migrLocality:      reg.Counter("sorrento_provider_migrations_total", node, obs.L("trigger", "locality")),
-		loadFL:            reg.Gauge("sorrento_provider_load_fl", node),
+		prepare2PC:  reg.Counter("sorrento_provider_2pc_total", node, obs.L("phase", "prepare")),
+		commit2PC:   reg.Counter("sorrento_provider_2pc_total", node, obs.L("phase", "commit")),
+		abort2PC:    reg.Counter("sorrento_provider_2pc_total", node, obs.L("phase", "abort")),
+		prepareLat:  reg.Histogram("sorrento_provider_2pc_seconds", nil, node, obs.L("phase", "prepare")),
+		commitLat:   reg.Histogram("sorrento_provider_2pc_seconds", nil, node, obs.L("phase", "commit")),
+		locHits:     reg.Counter("sorrento_provider_loc_queries_total", node, obs.L("result", "hit")),
+		locMisses:   reg.Counter("sorrento_provider_loc_queries_total", node, obs.L("result", "miss")),
+		quarantines: reg.Counter("sorrento_integrity_quarantines_total", node),
+		scrubLat:    reg.Histogram("sorrento_integrity_scrub_seconds", nil, node),
+		loadFL:      reg.Gauge("sorrento_provider_load_fl", node),
 	}
 	obs.RegisterResource(reg, p.clock, d.Resource(), node)
 	obs.RegisterResource(reg, p.clock, p.cpu, node)
@@ -263,12 +238,6 @@ func NewWithStore(id wire.NodeID, clock *simtime.Clock, cfg Config, network tran
 	if cfg.RepairBatch <= 0 {
 		cfg.RepairBatch = def.RepairBatch
 	}
-	if cfg.MaxPulls <= 0 {
-		cfg.MaxPulls = def.MaxPulls
-	}
-	if cfg.HeartbeatLoadEWMA <= 0 {
-		cfg.HeartbeatLoadEWMA = def.HeartbeatLoadEWMA
-	}
 	if cfg.ScrubInterval == 0 {
 		cfg.ScrubInterval = def.ScrubInterval
 	}
@@ -295,9 +264,9 @@ func NewWithStore(id wire.NodeID, clock *simtime.Clock, cfg Config, network tran
 		members:    membership.NewManager(clock, cfg.Membership),
 		selector:   placement.NewSelector(cfg.Seed),
 		cpu:        simtime.NewResource(clock, string(id)+"/cpu"),
-		loadEWMA:   stats.NewEWMA(cfg.HeartbeatLoadEWMA),
-		ioEWMA:     stats.NewEWMA(cfg.HeartbeatLoadEWMA),
-		pullSem:    make(chan struct{}, cfg.MaxPulls),
+		loadEWMA:   stats.NewEWMA(loadEWMAAlpha),
+		ioEWMA:     stats.NewEWMA(loadEWMAAlpha),
+		pullSem:    make(chan struct{}, maxPulls),
 		lastHome:   make(map[ids.SegID]wire.NodeID),
 		pulling:    make(map[ids.SegID]bool),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
@@ -337,7 +306,7 @@ func (p *Provider) Start() {
 	p.spawn(p.membershipWorker)
 	p.members.Start()
 	p.ann.Start()
-	p.loop(p.cfg.RefreshInterval, p.refreshAll)
+	p.loop(p.cfg.RefreshInterval, func() { p.refresh("", false) })
 	p.loop(p.cfg.RefreshInterval, func() { p.table.PurgeGarbage(p.cfg.GarbageAge) })
 	p.loop(p.cfg.RepairInterval, p.repairScan)
 	p.loop(p.cfg.Membership.HeartbeatInterval, p.sampleLoad)
@@ -436,64 +405,6 @@ func (p *Provider) charge() {
 // homeOf computes the current home host for a segment.
 func (p *Provider) homeOf(seg ids.SegID) wire.NodeID { return p.members.HomeOf(seg) }
 
-// notifyHomeSync registers a local segment with its home host and waits
-// for the acknowledgment. Replica pulls use it before confirming success,
-// so a migration source cannot erase its copy while the destination is
-// still unregistered (the location table would transiently go empty).
-func (p *Provider) notifyHomeSync(seg ids.SegID) {
-	st := p.store.Stat(seg)
-	home := p.homeOf(seg)
-	if home == "" {
-		return
-	}
-	e := wire.LocEntry{
-		Seg:               seg,
-		Version:           st.Version,
-		Size:              st.Size,
-		ReplDeg:           st.ReplDeg,
-		LocalityThreshold: p.store.LocalityThreshold(seg),
-	}
-	p.mu.Lock()
-	p.lastHome[seg] = home
-	p.mu.Unlock()
-	if home == p.id {
-		p.table.Update(p.id, e, false)
-		return
-	}
-	p.call(home, wire.LocUpdate{From: p.id, Entry: e})
-}
-
-// notifyHome sends a fast-path location update for one local segment.
-func (p *Provider) notifyHome(seg ids.SegID, removed bool) {
-	st := p.store.Stat(seg)
-	home := p.homeOf(seg)
-	if home == "" {
-		return
-	}
-	e := wire.LocEntry{
-		Seg:               seg,
-		Version:           st.Version,
-		Size:              st.Size,
-		ReplDeg:           st.ReplDeg,
-		LocalityThreshold: p.store.LocalityThreshold(seg),
-	}
-	p.mu.Lock()
-	if removed {
-		delete(p.lastHome, seg)
-	} else {
-		p.lastHome[seg] = home
-	}
-	p.mu.Unlock()
-	if home == p.id {
-		p.table.Update(p.id, e, removed)
-		if !removed {
-			p.propagateSeg(seg)
-		}
-		return
-	}
-	go p.call(home, wire.LocUpdate{From: p.id, Entry: e, Removed: removed})
-}
-
 // call is a fire-and-check RPC helper for background traffic.
 func (p *Provider) call(to wire.NodeID, req any) (any, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -551,11 +462,11 @@ func (p *Provider) membershipWorker() {
 				// A newcomer that already departed again gets dropped;
 				// its re-join, if any, raises a fresh event.
 				if p.members.IsLive(n) {
-					p.refreshTo(n)
+					p.refresh(n, false)
 				}
 			}
 			if len(joins) > 0 {
-				p.rehome()
+				p.refresh("", true)
 			}
 		}
 		p.memberMu.Lock()
@@ -567,7 +478,7 @@ func (p *Provider) membershipWorker() {
 			for _, n := range dep {
 				p.table.RemoveOwner(n)
 			}
-			p.rehome()
+			p.refresh("", true)
 		}
 		if havePendingJoins && joinTimer == nil {
 			p.mu.Lock()
@@ -578,98 +489,6 @@ func (p *Provider) membershipWorker() {
 	}
 }
 
-// refreshTo sends node every local entry it is currently the home host
-// for, regardless of registration history.
-func (p *Provider) refreshTo(node wire.NodeID) {
-	var list []wire.LocEntry
-	for _, e := range p.storeEntries() {
-		if p.homeOf(e.Seg) == node {
-			list = append(list, e)
-		}
-	}
-	if len(list) == 0 {
-		return
-	}
-	p.mu.Lock()
-	for _, e := range list {
-		p.lastHome[e.Seg] = node
-	}
-	p.mu.Unlock()
-	if node == p.id {
-		p.table.Refresh(p.id, list)
-		return
-	}
-	p.call(node, wire.LocRefresh{From: p.id, Entries: list})
-}
-
-// rehome re-registers local segments whose home host changed since their
-// last registration (covers both node joins and departures).
-func (p *Provider) rehome() {
-	entries := p.storeEntries()
-	byHome := locate.GroupByHome(entries, p.homeOf)
-	p.mu.Lock()
-	changed := make(map[wire.NodeID][]wire.LocEntry)
-	for home, list := range byHome {
-		for _, e := range list {
-			if p.lastHome[e.Seg] != home {
-				changed[home] = append(changed[home], e)
-				p.lastHome[e.Seg] = home
-			}
-		}
-	}
-	p.mu.Unlock()
-	for home, list := range changed {
-		if home == p.id {
-			p.table.Refresh(p.id, list)
-			continue
-		}
-		home, list := home, list
-		p.spawn(func() { p.call(home, wire.LocRefresh{From: p.id, Entries: list}) })
-	}
-}
-
-// refreshAll performs the periodic content refresh to every home host.
-func (p *Provider) refreshAll() {
-	entries := p.storeEntries()
-	byHome := locate.GroupByHome(entries, p.homeOf)
-	p.mu.Lock()
-	for _, list := range byHome {
-		for _, e := range list {
-			p.lastHome[e.Seg] = p.homeOf(e.Seg)
-		}
-	}
-	p.mu.Unlock()
-	for home, list := range byHome {
-		if home == p.id {
-			p.table.Refresh(p.id, list)
-			continue
-		}
-		home, list := home, list
-		p.spawn(func() { p.call(home, wire.LocRefresh{From: p.id, Entries: list}) })
-	}
-}
-
-func (p *Provider) storeEntries() []wire.LocEntry {
-	return p.store.List()
-}
-
-// propagateSeg notifies a segment's stale replicas to pull the new version
-// immediately after a location update reports a version advance.
-func (p *Provider) propagateSeg(seg ids.SegID) {
-	act, ok := p.table.ScanSeg(seg, p.members.IsLive)
-	if !ok || len(act.Stale) == 0 {
-		return
-	}
-	for _, stale := range act.Stale {
-		stale := stale
-		p.spawn(func() {
-			p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source})
-		})
-	}
-}
-
-// repairScan is the home-host maintenance pass: notify stale replicas to
-// sync and create new replicas for under-replicated segments (paper §3.6).
 // RepairNeeds returns the sync/repair actions this node is responsible for
 // as home host under its current membership view. Table records for
 // segments whose home role lies elsewhere are excluded: a node that
@@ -688,98 +507,36 @@ func (p *Provider) RepairNeeds() []locate.SyncAction {
 	return out
 }
 
+// repairScan is the home-host maintenance pass: notify stale replicas to
+// sync and choose fresh sites for under-replicated segments (paper §3.6), at
+// most RepairBatch notifications per pass.
 func (p *Provider) repairScan() {
-	actions := p.RepairNeeds()
 	budget := p.cfg.RepairBatch
-	for _, act := range actions {
+	for _, act := range p.RepairNeeds() {
 		if budget <= 0 {
 			return
 		}
-		// Stale replicas: tell them to pull the latest version.
-		for _, stale := range act.Stale {
-			if budget <= 0 {
-				return
+		budget -= p.notifyStale(act, budget)
+		holders := make([]wire.OwnerInfo, 0, len(act.CurrentOwners)+act.Deficit)
+		for _, o := range act.CurrentOwners {
+			holders = append(holders, wire.OwnerInfo{Node: o})
+		}
+		for i := 0; i < act.Deficit && budget > 0; i++ {
+			dest, err := p.chooseDest(act.Size, 0.5, holders, false)
+			if err != nil {
+				break
 			}
+			holders = append(holders, wire.OwnerInfo{Node: dest})
 			budget--
-			stale := stale
-			act := act
 			p.spawn(func() {
-				p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source})
+				p.call(dest, wire.ReplicateNotify{
+					Seg:               act.Seg,
+					Version:           act.Latest,
+					Source:            act.Source,
+					ReplDeg:           act.ReplDeg,
+					LocalityThreshold: act.LocalityThreshold,
+				})
 			})
 		}
-		// Replication deficit: choose fresh sites, spreading replicas
-		// across racks when the labels allow it.
-		if act.Deficit > 0 {
-			exclude := make(map[wire.NodeID]bool, len(act.CurrentOwners))
-			for _, o := range act.CurrentOwners {
-				exclude[o] = true
-			}
-			racks := p.rackMap()
-			excludeRacks := make(map[string]bool)
-			for _, o := range act.CurrentOwners {
-				if r := racks[o]; r != "" {
-					excludeRacks[r] = true
-				}
-			}
-			cands := p.candidates()
-			for i := 0; i < act.Deficit && budget > 0; i++ {
-				dest, err := p.selector.Choose(cands, placement.Options{
-					Alpha:        0.5,
-					SegSize:      act.Size,
-					Exclude:      exclude,
-					Racks:        racks,
-					ExcludeRacks: excludeRacks,
-				})
-				if err != nil {
-					break
-				}
-				exclude[dest] = true
-				if r := racks[dest]; r != "" {
-					excludeRacks[r] = true
-				}
-				budget--
-				dest, act := dest, act
-				p.spawn(func() {
-					p.call(dest, wire.ReplicateNotify{
-						Seg:               act.Seg,
-						Version:           act.Latest,
-						Source:            act.Source,
-						ReplDeg:           act.ReplDeg,
-						LocalityThreshold: act.LocalityThreshold,
-					})
-				})
-			}
-		}
 	}
-}
-
-// rackMap snapshots the gossiped rack labels of the live providers.
-func (p *Provider) rackMap() map[wire.NodeID]string {
-	loads := p.members.Loads()
-	out := make(map[wire.NodeID]string, len(loads))
-	for node, l := range loads {
-		if l.Rack != "" {
-			out[node] = l.Rack
-		}
-	}
-	return out
-}
-
-// candidates snapshots the live providers with their gossiped loads.
-func (p *Provider) candidates() []placement.Candidate {
-	loads := p.members.Loads()
-	out := make([]placement.Candidate, 0, len(loads))
-	var all []placement.Candidate // fallback when every live node is draining
-	for node, l := range loads {
-		c := placement.Candidate{Node: node, Load: l.Load, FreeBytes: l.FreeBytes}
-		all = append(all, c)
-		if l.Draining {
-			continue
-		}
-		out = append(out, c)
-	}
-	if len(out) == 0 {
-		return all
-	}
-	return out
 }

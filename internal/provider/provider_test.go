@@ -1,11 +1,13 @@
 package provider_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ids"
 	"repro/internal/layout"
 	"repro/internal/provider"
 	"repro/internal/wire"
@@ -316,9 +318,9 @@ func TestLocationRefreshAfterGarbagePurge(t *testing.T) {
 	}
 }
 
-func TestRackAwareReplicaPlacement(t *testing.T) {
-	// Four providers across two racks; a 2×-replicated file's replicas
-	// must land on distinct racks (paper §3.7.2's GoogleFS-style goal).
+// rackCluster starts four providers across two racks.
+func rackCluster(t *testing.T) (*cluster.Cluster, map[wire.NodeID]string) {
+	t.Helper()
 	opts := fastOpts(-1)
 	c, err := cluster.New(opts)
 	if err != nil {
@@ -342,6 +344,13 @@ func TestRackAwareReplicaPlacement(t *testing.T) {
 	if err := c.AwaitStable(4, 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	return c, racks
+}
+
+func TestRackAwareReplicaPlacement(t *testing.T) {
+	// Four providers across two racks; a 2×-replicated file's replicas
+	// must land on distinct racks (paper §3.7.2's GoogleFS-style goal).
+	c, racks := rackCluster(t)
 	cl := mkClient(t, c, "c1")
 
 	attrs := wire.DefaultAttrs()
@@ -384,5 +393,68 @@ func TestRackAwareReplicaPlacement(t *testing.T) {
 	}
 	if crossRack < checked {
 		t.Errorf("only %d/%d files span both racks", crossRack, checked)
+	}
+}
+
+// TestMigrationKeepsRackSpread: a drain moves replicas through the same
+// destination choice as repair, so the copies it evacuates stay off the rack
+// of the replica that remains. (Drain and load migration used to ignore rack
+// labels and undid repair's spread half the time.)
+func TestMigrationKeepsRackSpread(t *testing.T) {
+	c, racks := rackCluster(t)
+	cl := mkClient(t, c, "c1")
+	attrs := wire.DefaultAttrs()
+	attrs.ReplDeg = 2
+	var segs []ids.SegID
+	for i := 0; i < 12; i++ {
+		path := fmt.Sprintf("/spread%d", i)
+		f, err := cl.Create(path, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteAt(make([]byte, 30<<10), 0)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		entry, err := cl.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, entry.FileID) // 30 KB rides attached in the index segment
+	}
+	waitFor(t, 30*time.Second, "replication", func() bool { return c.PendingRepairs() == 0 })
+	racksOf := func(seg ids.SegID) map[string]bool {
+		out := map[string]bool{}
+		for id, p := range c.Providers() {
+			if p.Store().Stat(seg).Present {
+				out[racks[id]] = true
+			}
+		}
+		return out
+	}
+	for _, seg := range segs {
+		if len(racksOf(seg)) != 2 {
+			t.Fatalf("before the drain %s spans %v, want both racks", seg.Short(), racksOf(seg))
+		}
+	}
+
+	// Drain the fullest provider: every copy it evacuates is one draw, and one
+	// rack-blind draw in two lands beside the replica that stays.
+	var victim *provider.Provider
+	for _, p := range c.Providers() {
+		if victim == nil || p.Store().Len() > victim.Store().Len() {
+			victim = p
+		}
+	}
+	if err := victim.Drain(false); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 60*time.Second, "evacuation", func() bool {
+		return victim.Store().Len() == 0 && c.PendingRepairs() == 0
+	})
+	for _, seg := range segs {
+		if len(racksOf(seg)) != 2 {
+			t.Errorf("after the drain %s spans only %v", seg.Short(), racksOf(seg))
+		}
 	}
 }

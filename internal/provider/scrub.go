@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/ids"
-	"repro/internal/wire"
 )
 
 // Background scrub-and-repair: the provider walks its committed segments at
@@ -81,30 +80,14 @@ func (p *Provider) scrubOne(seg ids.SegID) int64 {
 // replica. When no healthy replica is known the periodic repair scan remains
 // the backstop (the home host sees our stale/missing registration).
 func (p *Provider) repairScrubbed(seg ids.SegID) {
-	home := p.homeOf(seg)
-	if home == "" {
-		return
-	}
-	var owners []wire.OwnerInfo
-	if home == p.id {
-		owners = p.table.Owners(seg)
-	} else if resp, err := p.call(home, wire.LocQuery{Seg: seg}); err == nil {
-		if q, ok := resp.(wire.LocQueryResp); ok {
-			owners = q.Owners
+	t := transfer{seg: seg, reason: reasonScrub}
+	for _, o := range p.ownersOf(seg) {
+		if o.Node != p.id && o.Node != "" && p.members.IsLive(o.Node) && o.Version >= t.want {
+			t.source, t.want = o.Node, o.Version
 		}
 	}
-	var source wire.NodeID
-	var ver uint64
-	for _, o := range owners {
-		if o.Node != p.id && o.Node != "" && p.members.IsLive(o.Node) && o.Version >= ver {
-			source, ver = o.Node, o.Version
-		}
-	}
-	if source == "" {
-		return
-	}
-	if g := p.pullSegment(seg, ver, source, 0, 0); g.OK && p.store.VerifyVersion(seg, 0) {
-		p.pm.integrityRepaired.Inc()
+	if t.source != "" {
+		p.pull(t)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/simtime"
 	"repro/internal/wire"
 )
 
@@ -19,8 +21,15 @@ func scrubOpts(providers int, quarantineAt int) cluster.Options {
 	return opts
 }
 
+// transfers reads sorrento_transfer_total{node,reason,outcome}.
+func transfers(o *obs.Obs, node wire.NodeID, reason, outcome string) int64 {
+	return o.Reg().Counter("sorrento_transfer_total", obs.L("node", string(node)), obs.L("reason", reason), obs.L("outcome", outcome)).Value()
+}
+
 func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
-	c := startCluster(t, scrubOpts(4, -1))
+	opts := scrubOpts(4, -1)
+	opts.Obs = obs.New(simtime.Real())
+	c := startCluster(t, opts)
 	cl := mkClient(t, c, "c1")
 
 	attrs := wire.DefaultAttrs()
@@ -62,6 +71,10 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	})
 	if vs.IntegrityStats().Detected == 0 {
 		t.Fatal("scrub repaired without recording a detection")
+	}
+	// The repair is a pull like any other, counted under its own reason.
+	if n := transfers(opts.Obs, victim, "scrub", "full") + transfers(opts.Obs, victim, "scrub", "delta"); n == 0 {
+		t.Error("scrub repair not counted in sorrento_transfer_total{reason=scrub}")
 	}
 
 	// The file never serves wrong bytes, before or after repair.
