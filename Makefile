@@ -57,15 +57,16 @@ bench-build:
 bench:
 	go test -run XXX -bench 'BenchmarkParallelStriped' -benchtime 3x .
 
-# Codec and fabric microbenchmarks (binary-vs-gob, index segment,
-# parallel-pair scaling).
+# Codec and fabric microbenchmarks (binary-vs-gob, serving a verified range
+# in one CRC pass, index segment, parallel-pair scaling).
 bench-harness:
-	go test -run XXX -bench 'BenchmarkCodec' -benchmem ./internal/wire
+	go test -run XXX -bench 'BenchmarkCodec|BenchmarkVerifyRange' -benchmem ./internal/wire
 	go test -run XXX -bench 'BenchmarkIndexCodec' -benchmem ./internal/layout
 	go test -run XXX -bench 'BenchmarkFabricParallelPairs' ./internal/simnet
 
 # One RPC over loopback TCP on a pooled connection: ns/op and allocs/op for
-# a namespace-sized call, a 12 KiB SegWrite and a 1 MiB SegReadResp.
+# a namespace-sized call, a 12 KiB SegWrite and a 1 MiB SegReadResp, the
+# last decoded to fresh memory and into a reply buffer.
 bench-transport:
 	go test -run XXX -bench 'BenchmarkTCPCall' -benchmem ./internal/transport
 

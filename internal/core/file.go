@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/layout"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -353,19 +354,30 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	err = fanout(len(groups), f.c.parallelism(), func(gi int) error {
 		for _, j := range groups[gi] {
+			// Over TCP the reply is decoded straight into the piece's
+			// destination; io.ReaderAt lets a failed attempt scribble on p.
+			ctx := transport.WithReplyBuffer(context.Background(), j.dst)
 			var data []byte
 			var rerr error
 			switch {
 			case j.dirty != nil:
-				data, rerr = f.readShadowPiece(j.dirty.node, j.ref.ID, j.piece)
+				data, rerr = f.readShadowPiece(ctx, j.dirty.node, j.ref.ID, j.piece)
+			case j.ref.Version == 0 && !f.attrs.VersioningOff:
+				// No commit has written this segment: it holds only zeros,
+				// and no provider has it to ask.
 			default:
-				data, rerr = f.readCommittedPiece(j.ref, j.piece)
+				data, rerr = f.readCommittedPiece(ctx, j.ref, j.piece)
 			}
 			if rerr != nil {
 				return rerr
 			}
-			copy(j.dst, data)
-			// Short reads (sparse regions of direct segments) leave zeros.
+			n := len(data)
+			if n > 0 && &data[0] != &j.dst[0] {
+				n = copy(j.dst, data)
+			}
+			// A short piece (a sparse region of a direct segment, or a
+			// segment never written) reads as zeros whatever p held.
+			clear(j.dst[n:])
 		}
 		return nil
 	})
@@ -378,8 +390,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return int(n), nil
 }
 
-func (f *File) readShadowPiece(node wire.NodeID, seg ids.SegID, piece layout.Piece) ([]byte, error) {
-	resp, err := f.c.call(node, wire.SegShadowRead{Owner: f.owner, Seg: seg, Offset: piece.Off, Length: piece.N})
+func (f *File) readShadowPiece(ctx context.Context, node wire.NodeID, seg ids.SegID, piece layout.Piece) ([]byte, error) {
+	resp, err := f.c.callCtx(ctx, node, wire.SegShadowRead{Owner: f.owner, Seg: seg, Offset: piece.Off, Length: piece.N})
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +405,7 @@ func (f *File) readShadowPiece(node wire.NodeID, seg ids.SegID, piece layout.Pie
 // readCommittedPiece reads a piece of a committed segment: cached owners
 // first, then the home host (which serves directly or redirects), then the
 // multicast probe.
-func (f *File) readCommittedPiece(ref layout.SegRef, piece layout.Piece) ([]byte, error) {
+func (f *File) readCommittedPiece(ctx context.Context, ref layout.SegRef, piece layout.Piece) ([]byte, error) {
 	ver := ref.Version
 	if f.attrs.VersioningOff {
 		ver = 0 // direct segments serve their single in-place version
@@ -402,7 +414,7 @@ func (f *File) readCommittedPiece(ref layout.SegRef, piece layout.Piece) ([]byte
 	cached := f.owners[ref.ID]
 	f.mu.Unlock()
 	if len(cached) > 0 {
-		if data, err := f.tryOwnersRead(cached, ref.ID, ver, piece); err == nil {
+		if data, err := f.tryOwnersRead(ctx, cached, ref.ID, ver, piece); err == nil {
 			return data, nil
 		}
 		f.mu.Lock()
@@ -411,19 +423,23 @@ func (f *File) readCommittedPiece(ref layout.SegRef, piece layout.Piece) ([]byte
 	}
 	// Home host: may serve directly or redirect (Figure 7 steps 2–3).
 	if home := f.c.members.HomeOf(ref.ID); home != "" {
-		resp, err := f.c.call(home, wire.SegRead{Seg: ref.ID, Version: ver, Offset: piece.Off, Length: piece.N})
+		resp, err := f.c.callCtx(ctx, home, wire.SegRead{Seg: ref.ID, Version: ver, Offset: piece.Off, Length: piece.N})
 		if err != nil {
 			f.c.noteDead(home, err)
 		}
 		if err == nil {
 			if r, ok := resp.(wire.SegReadResp); ok && r.OK {
-				if !r.Redirect {
+				switch {
+				case !r.Redirect && readRespIntact(r):
 					f.cacheOwner(ref.ID, []wire.OwnerInfo{{Node: home, Version: r.Version}})
 					return r.Data, nil
-				}
-				f.cacheOwner(ref.ID, r.Owners)
-				if data, err := f.tryOwnersRead(r.Owners, ref.ID, ver, piece); err == nil {
-					return data, nil
+				case !r.Redirect:
+					f.c.readMismatches.Inc()
+				default:
+					f.cacheOwner(ref.ID, r.Owners)
+					if data, err := f.tryOwnersRead(ctx, r.Owners, ref.ID, ver, piece); err == nil {
+						return data, nil
+					}
 				}
 			}
 		}
@@ -434,7 +450,7 @@ func (f *File) readCommittedPiece(ref layout.SegRef, piece layout.Piece) ([]byte
 		return nil, err
 	}
 	f.cacheOwner(ref.ID, owners)
-	return f.tryOwnersRead(owners, ref.ID, ver, piece)
+	return f.tryOwnersRead(ctx, owners, ref.ID, ver, piece)
 }
 
 func (f *File) cacheOwner(seg ids.SegID, owners []wire.OwnerInfo) {
@@ -467,10 +483,10 @@ func (f *File) dropCachedOwner(seg ids.SegID, node wire.NodeID) {
 // site whose RPC fails is dropped from the owner cache on the spot (and,
 // on timeout, evicted from the membership view), so one dead replica costs
 // one timeout — not one per subsequent read.
-func (f *File) tryOwnersRead(owners []wire.OwnerInfo, seg ids.SegID, ver uint64, piece layout.Piece) ([]byte, error) {
+func (f *File) tryOwnersRead(ctx context.Context, owners []wire.OwnerInfo, seg ids.SegID, ver uint64, piece layout.Piece) ([]byte, error) {
 	var lastErr error
 	for _, o := range orderOwners(owners, f.c.ep.Host()) {
-		resp, err := f.c.call(o.Node, wire.SegRead{Seg: seg, Version: ver, Offset: piece.Off, Length: piece.N})
+		resp, err := f.c.callCtx(ctx, o.Node, wire.SegRead{Seg: seg, Version: ver, Offset: piece.Off, Length: piece.N})
 		if err != nil {
 			lastErr = err
 			f.dropCachedOwner(seg, o.Node)

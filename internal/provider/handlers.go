@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/segstore"
@@ -131,27 +132,25 @@ func genResp(err error) wire.GenericResp {
 	return wire.GenericResp{OK: true}
 }
 
-// handleRead serves segment data when this node owns the segment; when it
-// is only the home host it redirects to the owners; otherwise it reports
-// failure so the client can fall back to the multicast probe.
+// handleRead serves segment data when this node owns the segment. When it
+// cannot serve — it is only the home host, holds another version, or its
+// copy fails verification — it redirects to the other owners it knows as
+// home host; otherwise it reports failure so the client can fall back to
+// the multicast probe.
 func (p *Provider) handleRead(from wire.NodeID, m wire.SegRead) wire.SegReadResp {
 	p.charge()
-	data, ver, err := p.store.Read(m.Seg, m.Version, m.Offset, m.Length)
-	switch {
-	case err == nil:
+	data, ver, sum, err := p.store.ReadSum(m.Seg, m.Version, m.Offset, m.Length)
+	if err == nil {
 		p.store.RecordAccess(m.Seg, from, int64(len(data)))
-		// Sum covers the served slice (already verified against commit-time
-		// block sums by the store) so the client can verify end to end.
-		return wire.SegReadResp{OK: true, Version: ver, Data: data, EOF: int64(len(data)) < m.Length, Sum: wire.SumOf(data)}
-	case errors.Is(err, segstore.ErrNotFound), errors.Is(err, segstore.ErrNoVersion):
-		owners := p.table.Owners(m.Seg)
-		if len(owners) > 0 {
-			return wire.SegReadResp{OK: true, Redirect: true, Owners: owners}
-		}
-		return wire.SegReadResp{Err: err.Error()}
-	default:
-		return wire.SegReadResp{Err: err.Error()}
+		// Sum covers the served slice, from the pass that verified it against
+		// the commit-time block sums, so the client can verify end to end.
+		return wire.SegReadResp{OK: true, Version: ver, Data: data, EOF: int64(len(data)) < m.Length, Sum: sum}
 	}
+	others := slices.DeleteFunc(p.table.Owners(m.Seg), func(o wire.OwnerInfo) bool { return o.Node == p.id })
+	if len(others) > 0 {
+		return wire.SegReadResp{OK: true, Redirect: true, Owners: others}
+	}
+	return wire.SegReadResp{Err: err.Error()}
 }
 
 // handleCreate materializes a new segment placed on this node.

@@ -614,11 +614,21 @@ func (st *Store) consolidateLocked(s *segment) {
 // Read returns up to n bytes of a committed version (0 = latest) starting
 // at off, along with the version served.
 func (st *Store) Read(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint64, error) {
+	data, ver, _, err := st.ReadSum(seg, ver, off, n)
+	return data, ver, err
+}
+
+// ReadSum is Read that also returns the CRC32C of the bytes served. For a
+// versioned segment the sum comes out of the same pass that verified those
+// bytes against the commit-time block sums, so it vouches only for bytes
+// that passed; a direct segment has no commit-time sums, and its sum is taken
+// over the served copy.
+func (st *Store) ReadSum(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint64, uint32, error) {
 	st.mu.Lock()
 	s, ok := st.segs[seg]
 	if !ok || s.latest == 0 {
 		st.mu.Unlock()
-		return nil, 0, ErrNotFound
+		return nil, 0, 0, ErrNotFound
 	}
 	if ver == 0 {
 		ver = s.latest
@@ -626,15 +636,15 @@ func (st *Store) Read(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint64, 
 	data, ok := s.versions[ver]
 	if !ok {
 		st.mu.Unlock()
-		return nil, 0, ErrNoVersion
+		return nil, 0, 0, ErrNoVersion
 	}
 	if st.injectReadFaultLocked() {
 		st.mu.Unlock()
-		return nil, 0, ErrReadFault
+		return nil, 0, 0, ErrReadFault
 	}
 	if off >= int64(len(data)) {
 		st.mu.Unlock()
-		return nil, ver, nil
+		return nil, ver, 0, nil
 	}
 	if off+n > int64(len(data)) {
 		n = int64(len(data)) - off
@@ -642,11 +652,13 @@ func (st *Store) Read(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint64, 
 	// Verify the checksum blocks covering the requested range before
 	// serving. A mismatch fails the read — the client fails over to another
 	// replica and the scrubber will drop and re-replicate the version.
+	var sum uint32
 	if !s.direct {
-		if wire.VerifyRange(data, s.sums[ver], off, n) >= 0 {
+		var bad int
+		if bad, sum = wire.VerifyRange(data, s.sums[ver], off, n); bad >= 0 {
 			st.nDetected.Add(1)
 			st.mu.Unlock()
-			return nil, 0, ErrCorrupt
+			return nil, 0, 0, ErrCorrupt
 		}
 		st.nVerifiedBlocks.Add((off+n-1)/wire.SumBlock - off/wire.SumBlock + 1)
 	}
@@ -657,16 +669,20 @@ func (st *Store) Read(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint64, 
 	// receivers must not mutate message payloads (wire convention). Direct
 	// segments are the exception: WriteDirect patches the version in place,
 	// so they serve copies.
+	direct := s.direct
 	var out []byte
-	if s.direct {
+	if direct {
 		out = append([]byte(nil), data[off:off+n]...)
 	} else {
 		out = data[off : off+n : off+n]
 	}
 	s.lastAccess = st.clock.Now()
 	st.mu.Unlock()
+	if direct {
+		sum = wire.SumOf(out)
+	}
 	st.chargeRead(n)
-	return out, ver, nil
+	return out, ver, sum, nil
 }
 
 // Fetch returns a full committed version (0 = latest) with the segment's

@@ -21,8 +21,10 @@ import (
 // reply is a prefixed wire.AppendReply body (error string plus optional
 // tagged message). UDP multicast datagrams are the envelope body without the
 // prefix — the datagram boundary already frames it. Frame buffers come from
-// bufpool and are recycled as soon as the body is decoded (the codec copies
-// all payloads out of the input).
+// bufpool and are recycled as soon as the body is decoded: the codec copies
+// all payloads out of the input, to fresh memory except for a
+// SegReadResp.Data that fits the reply buffer the call's context carries
+// (WithReplyBuffer), which is copied straight into that buffer.
 //
 // Connections: a TCP connection carries any number of request/reply pairs,
 // strictly one at a time. The caller takes an idle connection to the peer
@@ -210,6 +212,19 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
+// replyBufferKey is the context key of WithReplyBuffer.
+type replyBufferKey struct{}
+
+// WithReplyBuffer returns a context whose call may decode a SegReadResp's
+// Data into dst instead of fresh memory: the reply's Data is then dst[:n].
+// The caller must not touch dst until the call returns, and must read the
+// reply's Data rather than dst, which may hold bytes of an unusable reply.
+// A transport whose payloads already alias other memory (the simulated
+// fabric) ignores it.
+func WithReplyBuffer(ctx context.Context, dst []byte) context.Context {
+	return context.WithValue(ctx, replyBufferKey{}, dst)
+}
+
 // Call implements Endpoint.
 func (n *TCPNode) Call(ctx context.Context, to wire.NodeID, req any) (any, error) {
 	if n.cli == nil {
@@ -268,7 +283,8 @@ func (n *TCPNode) doCall(ctx context.Context, to wire.NodeID, req any) (resp any
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%w: reply from %s: %v", ErrTimeout, to, err)
 	}
-	msg, errStr, derr := wire.DecodeReply(rbuf)
+	dst, _ := ctx.Value(replyBufferKey{}).([]byte)
+	msg, errStr, derr := wire.DecodeReplyInto(rbuf, dst)
 	bufpool.Put(rbuf)
 	if derr != nil {
 		return nil, 0, 0, fmt.Errorf("transport: reply from %s: %w", to, derr)

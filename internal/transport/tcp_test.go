@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -404,9 +405,61 @@ func TestTCPHandlerErrorKeepsConnection(t *testing.T) {
 	}
 }
 
+func TestTCPReplyLandsInReplyBuffer(t *testing.T) {
+	payload := make([]byte, 1000)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	b := listen(t, CallFunc(func(_ context.Context, _ wire.NodeID, req any) (any, error) {
+		if _, ok := req.(wire.SegRead); ok {
+			return wire.SegReadResp{OK: true, Data: payload, Sum: wire.SumOf(payload)}, nil
+		}
+		return req, nil
+	}))
+	a := listen(t, &tcpEcho{})
+	call := func(ctx context.Context, req any) any {
+		t.Helper()
+		resp, err := a.Call(ctx, b.ID(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	read := func(ctx context.Context) []byte {
+		t.Helper()
+		r := call(ctx, wire.SegRead{}).(wire.SegReadResp)
+		if !bytes.Equal(r.Data, payload) || r.Sum != wire.SumOf(payload) {
+			t.Fatalf("reply data or sum differs from what was sent")
+		}
+		return r.Data
+	}
+
+	// A payload that fits lands in the buffer itself.
+	dst := make([]byte, 4096)
+	if got := read(WithReplyBuffer(context.Background(), dst)); &got[0] != &dst[0] || cap(got) != len(payload) {
+		t.Errorf("reply did not land in the reply buffer (cap %d)", cap(got))
+	}
+	// A payload longer than the buffer gets its own slice and leaves the
+	// buffer alone.
+	short := make([]byte, len(payload)-1)
+	if got := read(WithReplyBuffer(context.Background(), short)); &got[0] == &short[0] || !bytes.Equal(short, make([]byte, len(short))) {
+		t.Error("a reply longer than the buffer was decoded into it")
+	}
+	// Without a buffer the payload is a fresh copy, as it always was.
+	if got := read(context.Background()); &got[0] == &dst[0] {
+		t.Error("a call without a reply buffer reused one")
+	}
+	// Only SegReadResp.Data uses the buffer.
+	clear(dst)
+	w := call(WithReplyBuffer(context.Background(), dst), wire.SegWrite{Data: payload}).(wire.SegWrite)
+	if &w.Data[0] == &dst[0] || !bytes.Equal(dst, make([]byte, len(dst))) {
+		t.Error("a SegWrite payload was decoded into the reply buffer")
+	}
+}
+
 // BenchmarkTCPCall measures one call over loopback on a pooled connection:
 // a namespace-sized request and reply, a 12 KiB segment write, and a 1 MiB
-// segment read reply.
+// segment read reply, decoded to fresh memory and into a reply buffer.
 func BenchmarkTCPCall(b *testing.B) {
 	small := make([]byte, 12<<10)
 	big := make([]byte, 1<<20)
@@ -422,20 +475,23 @@ func BenchmarkTCPCall(b *testing.B) {
 		}
 	}))
 	cli := listen(b, &tcpEcho{})
+	into := WithReplyBuffer(context.Background(), make([]byte, len(big)))
 	for _, bc := range []struct {
 		name  string
+		ctx   context.Context
 		req   any
 		bytes int
 	}{
-		{"small", wire.NSLookup{Path: "/c0/g1/f0000001"}, 0},
-		{"SegWrite_12KiB", wire.SegWrite{Owner: "127.0.0.1:7001#1", Seg: [16]byte{1}, Data: small}, len(small)},
-		{"SegReadResp_1MiB", wire.SegRead{Seg: [16]byte{1}, Length: 1 << 20}, len(big)},
+		{"small", context.Background(), wire.NSLookup{Path: "/c0/g1/f0000001"}, 0},
+		{"SegWrite_12KiB", context.Background(), wire.SegWrite{Owner: "127.0.0.1:7001#1", Seg: [16]byte{1}, Data: small}, len(small)},
+		{"SegReadResp_1MiB", context.Background(), wire.SegRead{Seg: [16]byte{1}, Length: 1 << 20}, len(big)},
+		{"SegReadResp_1MiB_into", into, wire.SegRead{Seg: [16]byte{1}, Length: 1 << 20}, len(big)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(bc.bytes))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cli.Call(context.Background(), srv.ID(), bc.req); err != nil {
+				if _, err := cli.Call(bc.ctx, srv.ID(), bc.req); err != nil {
 					b.Fatal(err)
 				}
 			}

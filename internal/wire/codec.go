@@ -4,7 +4,9 @@ package wire
 // functions, allocation-free on encode (append into a caller buffer, exact
 // EncodedSize for pre-sizing from internal/bufpool); decode allocates the
 // boxed message plus one copy per string, payload and slice field, so the
-// result never aliases the input buffer. It is shared by both transports:
+// result never aliases the input buffer (DecodeReplyInto lands a
+// SegReadResp's payload in a buffer of the caller's instead). It is shared
+// by both transports:
 // the TCP transport frames real bytes with it, and the simulated fabric
 // charges NIC time for exactly the bytes it would produce (SizeOf).
 //
@@ -238,9 +240,18 @@ func ReplySize(msg any, errStr string) (int, bool) {
 	return n + m, true
 }
 
-// DecodeReply decodes a reply envelope.
+// DecodeReply decodes a reply envelope. The message is self-contained
+// (payloads copied), so the caller may recycle data.
 func DecodeReply(data []byte) (msg any, errStr string, err error) {
-	r := wireReader{b: data}
+	return DecodeReplyInto(data, nil)
+}
+
+// DecodeReplyInto is DecodeReply for a caller that supplies the buffer a
+// SegReadResp's Data should land in: a payload that fits is copied into
+// dst and Data is dst[:len(Data)]; a longer one, and every other payload,
+// is copied out to fresh memory as DecodeReply does.
+func DecodeReplyInto(data, dst []byte) (msg any, errStr string, err error) {
+	r := wireReader{b: data, into: dst}
 	errStr = r.str()
 	present := r.flag()
 	if r.bad {
@@ -444,6 +455,9 @@ type wireReader struct {
 	b   []byte
 	off int
 	bad bool
+	// into is the caller's reply buffer (DecodeReplyInto); only
+	// SegReadResp.Data decodes into it.
+	into []byte
 }
 
 func (r *wireReader) remaining() int { return len(r.b) - r.off }
@@ -518,7 +532,10 @@ func (r *wireReader) str() string {
 
 // bytes decodes a byte slice as a private copy; a zero length decodes as
 // nil.
-func (r *wireReader) bytes() []byte {
+func (r *wireReader) bytes() []byte { return r.bytesInto(nil) }
+
+// bytesInto is bytes copying into dst[:n] when the n decoded bytes fit.
+func (r *wireReader) bytesInto(dst []byte) []byte {
 	n := int(r.u32())
 	if n == 0 {
 		return nil
@@ -526,6 +543,9 @@ func (r *wireReader) bytes() []byte {
 	s := r.take(n)
 	if r.bad {
 		return nil
+	}
+	if n <= len(dst) {
+		return dst[:copy(dst, s):n]
 	}
 	return append([]byte(nil), s...)
 }
@@ -1098,7 +1118,7 @@ func (m *SegReadResp) decodeWire(r *wireReader) {
 	m.Redirect = r.bool_()
 	m.Owners = r.owners()
 	m.Version = r.u64()
-	m.Data = r.bytes()
+	m.Data = r.bytesInto(r.into)
 	m.EOF = r.bool_()
 	m.Sum = r.u32()
 }
