@@ -33,11 +33,20 @@ race:
 # segment its own client just committed (ROADMAP item 1, writer half); a
 # reader must find an index whose home host restarted one version behind
 # (item 1, reader half: the probe keeps listening past stale answers); and
-# Provider.Stop must survive handlers that keep spawning work.
+# Provider.Stop must survive handlers that keep spawning work. Then the owner
+# walk: concurrent appends under -race (an open must not base a session on a
+# version consolidated away, nor a commit on a stale replica), a commit past
+# a stale co-located replica, the coordinator's refusal of a plan behind the
+# base, a shadow open past a stale home answer, a commit retry that replays
+# onto the versions the session was based on, and a location table that a
+# late update never rolls back.
 regress:
 	go test ./internal/cluster -run 'TestGrowingFileAcrossManySegments$$' -count=200
 	go test ./internal/cluster -run 'TestNamespaceWALRecoversAfterMidCommitCrash$$' -count=300
 	go test ./internal/provider -run 'TestStopUnderLocationStorm$$' -race -count=50
+	go test ./internal/cluster -run 'TestAtomicAppendConcurrent$$' -race -count=200
+	go test ./internal/core -run 'TestCommitPublishesPastAStaleCoLocatedReplica$$|TestCommitRefusesAnIndexPlanBehindTheBase$$|TestShadowOpenProbesPastAStaleHomeAnswer$$|TestCommitRetryReplaysOntoTheBaseVersions$$|TestCommitAfterALostNamespaceRecord$$' -count=200
+	go test ./internal/locate -run 'TestUpdateNeverLowersVersion$$' -count=200
 
 # Non-test Go lines per package outside benchmark/ — the number ROADMAP's
 # "least code" aim is judged by, so "net-negative" is a command, not a claim.

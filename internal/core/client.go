@@ -12,9 +12,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -410,53 +412,185 @@ func (c *Client) Remove(path string) error {
 	if entry.Version == 0 {
 		return nil // never committed: no segments exist
 	}
-	segs := []ids.SegID{entry.FileID}
-	// The fetch that reads the index also says who holds it.
-	idx, indexOwners, ierr := c.fetchIndex(entry)
-	if ierr == nil {
-		for _, ref := range idx.Segs {
-			segs = append(segs, ref.ID)
-		}
-	}
-	// Eager removal (paper §4.1.1): every replica of every segment is
-	// deleted before Remove returns. Distinct segments are deleted in
-	// parallel, but a segment's replicas go one at a time — which is why
+	// The fetch that reads the index also says who holds it. Eager removal
+	// (paper §4.1.1): every replica of every segment is deleted before
+	// Remove returns, a segment's replicas one at a time — which is why
 	// unlink latency grows with the replication degree in Figure 9.
-	fanout(len(segs), c.parallelism(), func(i int) error {
-		seg := segs[i]
-		var owners []wire.OwnerInfo
-		if seg == entry.FileID {
-			owners = indexOwners
-		}
-		if len(owners) == 0 {
-			var lerr error
-			if owners, lerr = c.locate(seg); lerr != nil {
-				return nil
-			}
-		}
-		for _, o := range owners {
-			c.call(o.Node, wire.SegDelete{Seg: seg})
-		}
+	idx, indexOwners, _ := c.fetchIndex(entry)
+	c.eachReplica(entry.FileID, entry.Version, idx, indexOwners, true, func(seg ids.SegID, _ uint64, node wire.NodeID) error {
+		c.call(node, wire.SegDelete{Seg: seg})
 		return nil
 	})
 	return nil
 }
 
+// eachReplica runs fn on every owner of every segment of one committed file
+// version: the index segment, on the owners its fetch returned, and each
+// data segment a commit has written. Segments go in parallel, one segment's
+// owners one at a time. It returns every failure, and goes on past them.
+// A version-blind caller (delete) takes the owners the home host lists,
+// whatever their version, and probes only when it lists none; the home
+// table often lags a fresh commit, and waiting for a current owner would
+// probe every segment.
+func (c *Client) eachReplica(fid ids.SegID, ver uint64, idx *layout.Index, indexOwners []wire.OwnerInfo, blind bool, fn func(seg ids.SegID, ver uint64, node wire.NodeID) error) error {
+	refs := []layout.SegRef{{ID: fid, Version: ver}}
+	if idx != nil {
+		refs = append(refs, idx.Segs...)
+	}
+	errs := make([]error, len(refs))
+	fanout(len(refs), c.parallelism(), func(i int) error {
+		ref, owners := refs[i], indexOwners
+		if ref.Version == 0 {
+			return nil // never written: no provider holds it
+		}
+		if i > 0 || len(owners) == 0 {
+			want := ref.Version
+			if blind {
+				want = 0
+			}
+			owners, errs[i] = c.ownersOf(ref.ID, want)
+		}
+		for _, o := range owners {
+			if err := fn(ref.ID, ref.Version, o.Node); err != nil {
+				errs[i] = err
+			}
+		}
+		return nil
+	})
+	return errors.Join(errs...)
+}
+
 // ---------------------------------------------------------------------------
 // Data location (paper §3.4)
 
-// locate returns a segment's owners: home host first, multicast probe as
-// the backup scheme.
-func (c *Client) locate(seg ids.SegID) ([]wire.OwnerInfo, error) {
-	if home := c.members.HomeOf(seg); home != "" {
-		resp, err := c.call(home, wire.LocQuery{Seg: seg})
-		if err == nil {
-			if r, ok := resp.(wire.LocQueryResp); ok && r.OK && len(r.Owners) > 0 {
-				return r.Owners, nil
+// An attempt sends one request about a segment to one node. done stops the
+// walk: the node served (err nil), or the request must not go to another
+// owner (err set). owners is what the node said about who holds the segment:
+// a home host's redirect, or the owners beside a fetched payload.
+type attempt func(node wire.NodeID) (owners []wire.OwnerInfo, done bool, err error)
+
+// walk is the client's one owner lookup. It runs do on owners of seg at
+// version want or later until one is done, asking in this order:
+//  1. f's cached owners (f may be nil);
+//  2. the home host: do itself when the provider answers the request with a
+//     redirect (SegRead, SegFetch: homeServes), else one LocQuery;
+//  3. the owners the home host names;
+//  4. the multicast probe for want (§3.4.2), and the owners it returns.
+//
+// An owner behind want is never tried: it cannot serve the version, and a
+// shadow based on it would fork history (§3.5). Each node is tried once,
+// co-located first, known-dead last; one whose request fails leaves f's
+// cache. The walk returns the owner list it ended on, stale owners included,
+// and caches it in f unless the cache already served.
+func (c *Client) walk(f *File, seg ids.SegID, want uint64, homeServes bool, do attempt) ([]wire.OwnerInfo, error) {
+	t := c.tries(f, seg, do)
+	try := func(owners []wire.OwnerInfo) (bool, error) {
+		var nodes []wire.NodeID
+		for _, o := range orderOwners(owners, c.ep.Host()) {
+			if o.Version >= want {
+				nodes = append(nodes, o.Node)
 			}
 		}
+		return t.each(nodes)
 	}
-	return c.probe(seg, 0)
+	cached := f.cachedOwners(seg)
+	if done, err := try(cached); done {
+		return cached, err
+	}
+	var owners []wire.OwnerInfo
+	if home := c.members.HomeOf(seg); home != "" && homeServes {
+		named, done, err := t.run(home)
+		if done {
+			if err == nil {
+				f.setOwners(seg, named)
+			}
+			return named, err
+		}
+		owners = named
+	} else if home != "" {
+		resp, err := c.call(home, wire.LocQuery{Seg: seg})
+		c.noteDead(home, err)
+		r, _ := resp.(wire.LocQueryResp)
+		owners = r.Owners
+	}
+	done, err := try(owners)
+	if !done {
+		probed, perr := c.probe(seg, want)
+		// A probe answer is the owner's own word; the home host's may lag.
+		for _, o := range owners {
+			if !slices.ContainsFunc(probed, func(p wire.OwnerInfo) bool { return p.Node == o.Node }) {
+				probed = append(probed, o)
+			}
+		}
+		owners = probed
+		if done, err = try(owners); !done {
+			return owners, cmp.Or(t.lastErr, perr, fmt.Errorf("%w: no owner of %s at v%d or later", ErrUnlocatable, seg.Short(), want))
+		}
+	}
+	if err == nil {
+		f.setOwners(seg, owners)
+	}
+	return owners, err
+}
+
+// tries sends one request about seg to nodes, each at most once, and keeps
+// the books of a failover: a node whose request fails leaves f's owner cache
+// (f may be nil) and is reported to the membership view, and a success after
+// a failure counts as a failover.
+type tries struct {
+	c       *Client
+	f       *File
+	seg     ids.SegID
+	do      attempt
+	tried   map[wire.NodeID]bool
+	lastErr error
+}
+
+func (c *Client) tries(f *File, seg ids.SegID, do attempt) *tries {
+	return &tries{c: c, f: f, seg: seg, do: do, tried: make(map[wire.NodeID]bool)}
+}
+
+// run sends the request to node.
+func (t *tries) run(node wire.NodeID) ([]wire.OwnerInfo, bool, error) {
+	t.tried[node] = true
+	named, done, err := t.do(node)
+	if err != nil {
+		t.lastErr = err
+		t.f.dropOwner(t.seg, node)
+		t.c.noteDead(node, err)
+	} else if done && t.lastErr != nil {
+		t.c.failovers.Inc()
+	}
+	return named, done, err
+}
+
+// each runs the request on the untried nodes in their order, live ones
+// before known-dead ones, until one is done; it reports whether one was, and
+// how.
+func (t *tries) each(nodes []wire.NodeID) (bool, error) {
+	var live, dead []wire.NodeID
+	for _, n := range nodes {
+		switch {
+		case t.tried[n]:
+		case t.c.members.IsLive(n):
+			live = append(live, n)
+		default:
+			dead = append(dead, n)
+		}
+	}
+	for _, n := range append(live, dead...) {
+		if _, done, err := t.run(n); done {
+			return true, err
+		}
+	}
+	return false, nil
+}
+
+// ownersOf returns every owner of seg the walk learns on its way to one at
+// version want or later, stale owners included: the list for callers that
+// address all replicas (delete, pin, sync) rather than one.
+func (c *Client) ownersOf(seg ids.SegID, want uint64) ([]wire.OwnerInfo, error) {
+	return c.walk(nil, seg, want, false, func(wire.NodeID) ([]wire.OwnerInfo, bool, error) { return nil, true, nil })
 }
 
 // probe issues the multicast backup query (paper §3.4.2) and returns on the

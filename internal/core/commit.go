@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -116,9 +117,17 @@ func (f *File) commitOnce(ctx context.Context, opts CommitOptions, touched []ids
 		return err
 	}
 
+	f.mu.Lock()
+	base := slices.Clone(f.idx.Segs)
+	f.mu.Unlock()
 	if err := f.commitBody(ctx, begin); err != nil {
-		// Roll everything back: prepared shadows and the commit window.
+		// Roll everything back: prepared shadows, the planned versions folded
+		// into the index (no provider holds them, and a replay must base its
+		// shadows on what the session was based on) and the commit window.
 		f.c.commitAborts.Inc()
+		f.mu.Lock()
+		f.idx.Segs = base
+		f.mu.Unlock()
 		f.abortAll()
 		f.c.nsCtx(ctx, wire.NSCommitAbort{FileID: f.entry.FileID, Path: f.path, Ticket: begin.Ticket})
 		return err
@@ -301,62 +310,63 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 }
 
 // writeIndexShadow is the index segment's whole leg of phase one, in one
-// request to one node: place the segment (first commit) or pick an owner,
-// then shadow it, replace its content with the encoded index and prepare it
-// there. It returns that node and the planned version — the file's next.
+// request to one node: place the segment (first commit) or walk to an owner
+// at the session's base version, then shadow it, replace its content with
+// the encoded index and prepare it there. It returns that node and the
+// planned version, which must be past the base: a plan from a node behind
+// the base would publish a version number twice. A plan further ahead is
+// fine — a round whose index committed but whose namespace record was lost
+// leaves the index a version past the namespace, and the next round skips
+// that number.
 func (f *File) writeIndexShadow(ctx context.Context, encoded []byte) (wire.NodeID, uint64, error) {
 	fid := f.entry.FileID
 	var node wire.NodeID
+	var newVer uint64
+	prepareOn := func(n wire.NodeID) ([]wire.OwnerInfo, bool, error) {
+		// Recorded before the request goes out: a lost reply can leave a
+		// prepared shadow holding the segment's commit slot, and abortAll
+		// must reach it.
+		f.mu.Lock()
+		f.dirty[fid] = &dirtySeg{node: n}
+		f.mu.Unlock()
+		node = n
+		// Same bytes, same owner: the participant treats a resend as the same
+		// prepare, so a lost response is safe to retry.
+		resp, err := f.c.callRetry(ctx, n, wire.SegShadow{
+			Owner:             f.owner,
+			Seg:               fid,
+			TTLSec:            f.c.cfg.ShadowTTL.Seconds(),
+			ReplDeg:           f.attrs.ReplDeg,
+			LocalityThreshold: 0, // index segments follow reads, not locality policy
+			Prepare:           true,
+			Data:              encoded,
+		})
+		if err != nil {
+			return nil, true, err // the round aborts; a retry walks again
+		}
+		r, ok := resp.(wire.SegShadowResp)
+		if !ok || !r.OK {
+			return nil, false, fmt.Errorf("core: prepare index on %s: %s", n, r.Err)
+		}
+		newVer = r.NewVer
+		return nil, true, nil
+	}
+	var err error
 	if f.baseVer == 0 {
 		// First commit: place the index segment. Index segments are
 		// small, so the home host gets the 3N bias (paper §3.7.2).
-		home := f.c.members.HomeOf(fid)
-		n, err := f.c.place(f.attrs, int64(len(encoded)), home, true, nil)
-		if err != nil {
-			return "", 0, err
+		n, perr := f.c.place(f.attrs, int64(len(encoded)), f.c.members.HomeOf(fid), true, nil)
+		if perr != nil {
+			return "", 0, perr
 		}
-		node = n
+		_, _, err = prepareOn(n)
 	} else {
-		owners, err := f.segOwners(fid)
-		if err != nil {
-			return "", 0, err
-		}
-		// Prefer a live owner so a commit retry after an index-site
-		// death lands on a surviving replica.
-		ordered := orderOwners(owners, f.c.ep.Host())
-		node = ordered[0].Node
-		for _, o := range ordered {
-			if f.c.members.IsLive(o.Node) {
-				node = o.Node
-				break
-			}
-		}
+		_, err = f.c.walk(f, fid, f.baseVer, false, prepareOn)
 	}
-	// Recorded before the request goes out: a lost reply can leave a prepared
-	// shadow holding the segment's commit slot, and abortAll must reach it.
-	f.mu.Lock()
-	f.dirty[fid] = &dirtySeg{node: node, isNew: f.baseVer == 0}
-	f.mu.Unlock()
-	// Same bytes, same owner: the participant treats a resend as the same
-	// prepare, so a lost response is safe to retry.
-	resp, err := f.c.callRetry(ctx, node, wire.SegShadow{
-		Owner:             f.owner,
-		Seg:               fid,
-		TTLSec:            f.c.cfg.ShadowTTL.Seconds(),
-		ReplDeg:           f.attrs.ReplDeg,
-		LocalityThreshold: 0, // index segments follow reads, not locality policy
-		Prepare:           true,
-		Data:              encoded,
-	})
-	if err != nil {
-		f.dropCachedOwner(fid, node)
-		return "", 0, err
+	if err == nil && newVer <= f.baseVer {
+		err = fmt.Errorf("core: index of %s prepared as v%d on %s, session based on v%d", f.path, newVer, node, f.baseVer)
 	}
-	r, ok := resp.(wire.SegShadowResp)
-	if !ok || !r.OK {
-		return "", 0, fmt.Errorf("core: prepare index on %s: %s", node, r.Err)
-	}
-	return node, r.NewVer, nil
+	return node, newVer, err
 }
 
 // abortAll rolls back every open shadow of the session.
@@ -381,32 +391,23 @@ func (f *File) abortAll() {
 
 // syncReplicas pushes the just-committed versions of the touched segments
 // to stale replicas and waits — the synchronous commitment option
-// (paper §3.6).
+// (paper §3.6). The commit left each segment current on its shadow's node,
+// which the owner cache's roll-forward names.
 func (f *File) syncReplicas(refs []ids.SegID) {
 	fanout(len(refs), f.c.parallelism(), func(i int) error {
 		seg := refs[i]
-		owners, err := f.c.locate(seg)
-		if err != nil {
+		cur := f.cachedOwners(seg)
+		if len(cur) == 0 {
 			return nil
 		}
-		var latest uint64
-		var source wire.NodeID
-		for _, o := range owners {
-			if o.Version > latest {
-				latest, source = o.Version, o.Node
-			}
-		}
-		var stale []wire.OwnerInfo
-		for _, o := range owners {
-			if o.Version < latest {
-				stale = append(stale, o)
-			}
-		}
+		src := cur[0]
+		owners, _ := f.c.ownersOf(seg, 0)
+		stale := slices.DeleteFunc(owners, func(o wire.OwnerInfo) bool { return o.Node == src.Node || o.Version >= src.Version })
 		// The stale replicas of one segment each pull from the same source;
 		// pushing the notifications in parallel lets their catch-up
 		// transfers overlap.
 		fanout(len(stale), f.c.parallelism(), func(j int) error {
-			f.c.call(stale[j].Node, wire.SyncNotify{Seg: seg, Version: latest, Source: source})
+			f.c.call(stale[j].Node, wire.SyncNotify{Seg: seg, Version: src.Version, Source: src.Node})
 			return nil
 		})
 		return nil

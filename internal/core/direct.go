@@ -40,7 +40,6 @@ func (f *File) materializeDirect() error {
 			return fmt.Errorf("core: create direct segment on %s: %s", node, r.Err)
 		}
 		f.mu.Lock()
-		f.segHome[seg] = node
 		f.owners[seg] = []wire.OwnerInfo{{Node: node, Version: 1}}
 		f.mu.Unlock()
 	}
@@ -101,17 +100,17 @@ func (f *File) writeDirect(p []byte, off int64) (int, error) {
 	}
 	f.mu.Unlock()
 	for _, j := range jobs {
-		owners, err := f.segOwners(j.seg)
+		// A direct segment has one copy: the first owner found takes the
+		// write or fails it.
+		_, err := f.c.walk(f, j.seg, 0, false, func(node wire.NodeID) ([]wire.OwnerInfo, bool, error) {
+			resp, err := f.c.call(node, wire.SegWrite{Seg: j.seg, Offset: j.off, Data: j.data, Direct: true})
+			if r, ok := resp.(wire.SegWriteResp); err == nil && (!ok || !r.OK) {
+				err = fmt.Errorf("core: direct write on %s: %s", node, r.Err)
+			}
+			return nil, true, err
+		})
 		if err != nil {
 			return 0, err
-		}
-		node := orderOwners(owners, f.c.ep.Host())[0].Node
-		resp, err := f.c.call(node, wire.SegWrite{Seg: j.seg, Offset: j.off, Data: j.data, Direct: true})
-		if err != nil {
-			return 0, err
-		}
-		if r, ok := resp.(wire.SegWriteResp); !ok || !r.OK {
-			return 0, fmt.Errorf("core: direct write on %s: %s", node, r.Err)
 		}
 	}
 	return len(p), nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 // dirtySeg tracks an open shadow for one data segment of a write session.
 type dirtySeg struct {
 	node      wire.NodeID   // provider holding the shadow
-	isNew     bool          // no committed base version exists yet
 	renewedAt time.Duration // last lease grant (modeled clock)
 }
 
@@ -37,8 +37,7 @@ type File struct {
 	dirty      map[ids.SegID]*dirtySeg
 	inflight   map[ids.SegID]chan struct{} // singleflight for shadow opens
 	indexDirty bool
-	owners     map[ids.SegID][]wire.OwnerInfo // owner cache for reads
-	segHome    map[ids.SegID]wire.NodeID      // direct-mode owner pin
+	owners     map[ids.SegID][]wire.OwnerInfo // owner cache: the walk fills and prunes it
 	closed     bool
 
 	// journal retains this session's data writes (bounded by
@@ -99,7 +98,6 @@ func (c *Client) Create(path string, attrs wire.FileAttrs) (*File, error) {
 		dirty:    make(map[ids.SegID]*dirtySeg),
 		inflight: make(map[ids.SegID]chan struct{}),
 		owners:   make(map[ids.SegID][]wire.OwnerInfo),
-		segHome:  make(map[ids.SegID]wire.NodeID),
 	}
 	if attrs.VersioningOff {
 		if err := f.materializeDirect(); err != nil {
@@ -136,36 +134,41 @@ func (c *Client) open(path string, writable bool, ver uint64) (*File, error) {
 		}
 		entry.Version = ver
 	}
+	var idx *layout.Index
+	var owners []wire.OwnerInfo
+	for entry.Version > 0 {
+		if idx, owners, err = c.fetchIndex(entry); err == nil || ver != 0 {
+			break
+		}
+		// A segment keeps KeepVersions versions, so commits made since the
+		// lookup can consolidate the looked-up one away: open the newest.
+		latest, serr := c.Stat(path)
+		if serr != nil || latest.Version == entry.Version {
+			break
+		}
+		entry = latest
+	}
+	if err != nil {
+		return nil, err
+	}
+	if idx == nil {
+		if idx, err = layout.NewIndex(entry.Attrs, c.cfg.Sizing, ids.New); err != nil {
+			return nil, err
+		}
+	}
 	f := &File{
 		c:        c,
 		path:     path,
 		entry:    entry,
 		attrs:    entry.Attrs,
+		idx:      idx,
 		baseVer:  entry.Version,
-		writable: writable,
+		writable: writable || entry.Attrs.VersioningOff, // direct files are always writable in place
 		owner:    fmt.Sprintf("%s#%d", c.name, c.sessSeq.Add(1)),
 		dirty:    make(map[ids.SegID]*dirtySeg),
 		inflight: make(map[ids.SegID]chan struct{}),
-		owners:   make(map[ids.SegID][]wire.OwnerInfo),
-		segHome:  make(map[ids.SegID]wire.NodeID),
+		owners:   map[ids.SegID][]wire.OwnerInfo{entry.FileID: owners},
 	}
-	if entry.Attrs.VersioningOff {
-		f.writable = true // direct files are always writable in place
-	}
-	if entry.Version == 0 {
-		idx, ierr := layout.NewIndex(entry.Attrs, c.cfg.Sizing, ids.New)
-		if ierr != nil {
-			return nil, ierr
-		}
-		f.idx = idx
-		return f, nil
-	}
-	idx, srcOwners, err := c.fetchIndex(entry)
-	if err != nil {
-		return nil, err
-	}
-	f.idx = idx
-	f.owners[entry.FileID] = srcOwners
 	return f, nil
 }
 
@@ -182,68 +185,31 @@ func (c *Client) fetchIndex(entry wire.FileEntry) (*layout.Index, []wire.OwnerIn
 	return idx, owners, nil
 }
 
-// readWhole fetches an entire segment version via SegFetch. It asks the home
-// host for the bytes rather than for directions: a small segment's home host
-// is usually its owner (the 3N placement bias, paper §3.7.2), and one that is
-// not answers with the owners instead. When the home host is unreachable,
-// knows no owner, or names only owners that do not serve the version — a home
-// host back from a crash knows itself alone, one version behind — the
-// multicast probe finds the rest, as in locate. It returns the owners it
-// learned alongside the data.
+// readWhole fetches an entire segment version with SegFetch through the walk.
+// A small segment's home host is usually its owner (the 3N placement bias,
+// paper §3.7.2), so the home host is asked for the bytes, not for directions:
+// one that holds the version serves it with its table's owners attached, one
+// that does not names them. It returns the owners it learned with the data.
 func (c *Client) readWhole(seg ids.SegID, ver uint64) ([]byte, []wire.OwnerInfo, error) {
-	var lastErr error
-	var owners []wire.OwnerInfo
-	home := c.members.HomeOf(seg)
-	if home != "" {
-		r, err := c.fetchFrom(home, seg, ver)
-		if err == nil && r.OK {
-			return r.Data, r.Owners, nil
+	var data []byte
+	owners, err := c.walk(nil, seg, ver, true, func(node wire.NodeID) ([]wire.OwnerInfo, bool, error) {
+		resp, err := c.call(node, wire.SegFetch{Seg: seg, Version: ver})
+		r, _ := resp.(wire.SegFetchResp)
+		switch {
+		case err != nil:
+			return nil, false, err
+		case !r.OK:
+			// Not a failure of the node: it does not serve that version, and
+			// Owners is its redirect.
+			return r.Owners, false, nil
+		case !fetchRespIntact(r):
+			c.readMismatches.Inc()
+			return r.Owners, false, fmt.Errorf("core: fetch %s from %s: checksum mismatch", seg.Short(), node)
 		}
-		lastErr, owners = err, r.Owners
-	}
-	for probed := false; ; probed = true {
-		for _, o := range orderOwners(owners, c.ep.Host()) {
-			if o.Node == home {
-				continue // it answered above
-			}
-			r, err := c.fetchFrom(o.Node, seg, ver)
-			if err != nil {
-				lastErr = err
-			} else if r.OK {
-				if lastErr != nil {
-					c.failovers.Inc()
-				}
-				return r.Data, owners, nil
-			}
-		}
-		if probed {
-			break
-		}
-		var err error
-		if owners, err = c.probe(seg, ver); err != nil {
-			return nil, nil, err
-		}
-	}
-	if lastErr == nil {
-		lastErr = ErrUnlocatable
-	}
-	return nil, owners, lastErr
-}
-
-// fetchFrom is one SegFetch to one node. A reply that is not OK is not an
-// error: the node does not serve that version, and Owners is its redirect.
-func (c *Client) fetchFrom(node wire.NodeID, seg ids.SegID, ver uint64) (wire.SegFetchResp, error) {
-	resp, err := c.call(node, wire.SegFetch{Seg: seg, Version: ver})
-	if err != nil {
-		c.noteDead(node, err)
-		return wire.SegFetchResp{}, err
-	}
-	r, _ := resp.(wire.SegFetchResp)
-	if r.OK && !fetchRespIntact(r) {
-		c.readMismatches.Inc()
-		return wire.SegFetchResp{Owners: r.Owners}, fmt.Errorf("core: fetch %s from %s: checksum mismatch", seg.Short(), node)
-	}
-	return r, nil
+		data = r.Data
+		return r.Owners, true, nil
+	})
+	return data, owners, err
 }
 
 // orderOwners prefers a co-located owner, otherwise keeps the newest-first
@@ -402,117 +368,67 @@ func (f *File) readShadowPiece(ctx context.Context, node wire.NodeID, seg ids.Se
 	return r.Data, nil
 }
 
-// readCommittedPiece reads a piece of a committed segment: cached owners
-// first, then the home host (which serves directly or redirects), then the
-// multicast probe.
+// readCommittedPiece reads a piece of a committed segment through the walk;
+// the home host serves the piece or redirects (Figure 7 steps 2–3).
 func (f *File) readCommittedPiece(ctx context.Context, ref layout.SegRef, piece layout.Piece) ([]byte, error) {
 	ver := ref.Version
 	if f.attrs.VersioningOff {
 		ver = 0 // direct segments serve their single in-place version
 	}
-	f.mu.Lock()
-	cached := f.owners[ref.ID]
-	f.mu.Unlock()
-	if len(cached) > 0 {
-		if data, err := f.tryOwnersRead(ctx, cached, ref.ID, ver, piece); err == nil {
-			return data, nil
+	var data []byte
+	_, err := f.c.walk(f, ref.ID, ver, true, func(node wire.NodeID) ([]wire.OwnerInfo, bool, error) {
+		resp, err := f.c.callCtx(ctx, node, wire.SegRead{Seg: ref.ID, Version: ver, Offset: piece.Off, Length: piece.N})
+		r, _ := resp.(wire.SegReadResp)
+		switch {
+		case err != nil:
+			return nil, false, err
+		case r.OK && r.Redirect:
+			return r.Owners, false, nil
+		case !r.OK:
+			return nil, false, fmt.Errorf("core: read %s from %s: %s", ref.ID.Short(), node, r.Err)
+		case !readRespIntact(r):
+			f.c.readMismatches.Inc()
+			return nil, false, fmt.Errorf("core: read %s from %s: checksum mismatch", ref.ID.Short(), node)
 		}
+		data = r.Data
+		return []wire.OwnerInfo{{Node: node, Version: r.Version}}, true, nil
+	})
+	return data, err
+}
+
+// cachedOwners, setOwners and dropOwner keep a File's owner cache, which
+// only the walk fills and prunes (a nil File has none).
+func (f *File) cachedOwners(seg ids.SegID) []wire.OwnerInfo {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.owners[seg]
+}
+
+func (f *File) setOwners(seg ids.SegID, owners []wire.OwnerInfo) {
+	if f != nil && len(owners) > 0 {
 		f.mu.Lock()
-		delete(f.owners, ref.ID)
+		f.owners[seg] = owners
 		f.mu.Unlock()
 	}
-	// Home host: may serve directly or redirect (Figure 7 steps 2–3).
-	if home := f.c.members.HomeOf(ref.ID); home != "" {
-		resp, err := f.c.callCtx(ctx, home, wire.SegRead{Seg: ref.ID, Version: ver, Offset: piece.Off, Length: piece.N})
-		if err != nil {
-			f.c.noteDead(home, err)
-		}
-		if err == nil {
-			if r, ok := resp.(wire.SegReadResp); ok && r.OK {
-				switch {
-				case !r.Redirect && readRespIntact(r):
-					f.cacheOwner(ref.ID, []wire.OwnerInfo{{Node: home, Version: r.Version}})
-					return r.Data, nil
-				case !r.Redirect:
-					f.c.readMismatches.Inc()
-				default:
-					f.cacheOwner(ref.ID, r.Owners)
-					if data, err := f.tryOwnersRead(ctx, r.Owners, ref.ID, ver, piece); err == nil {
-						return data, nil
-					}
-				}
-			}
-		}
-	}
-	// Backup scheme.
-	owners, err := f.c.probe(ref.ID, ver)
-	if err != nil {
-		return nil, err
-	}
-	f.cacheOwner(ref.ID, owners)
-	return f.tryOwnersRead(ctx, owners, ref.ID, ver, piece)
 }
 
-func (f *File) cacheOwner(seg ids.SegID, owners []wire.OwnerInfo) {
-	f.mu.Lock()
-	f.owners[seg] = owners
-	f.mu.Unlock()
-}
-
-// dropCachedOwner removes one failed node from a segment's cached owner
-// list, so the next read goes straight to the surviving replicas instead
-// of re-timing-out on the dead one.
-func (f *File) dropCachedOwner(seg ids.SegID, node wire.NodeID) {
-	f.mu.Lock()
-	cached := f.owners[seg]
-	kept := cached[:0]
-	for _, o := range cached {
-		if o.Node != node {
-			kept = append(kept, o)
-		}
+// dropOwner removes a node whose request failed from a segment's cached
+// owners, so the next walk does not wait on it again.
+func (f *File) dropOwner(seg ids.SegID, node wire.NodeID) {
+	if f == nil {
+		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	kept := slices.DeleteFunc(slices.Clone(f.owners[seg]), func(o wire.OwnerInfo) bool { return o.Node == node })
 	if len(kept) == 0 {
 		delete(f.owners, seg)
 	} else {
 		f.owners[seg] = kept
 	}
-	f.mu.Unlock()
-}
-
-// tryOwnersRead reads one piece, failing over across the replica sites. A
-// site whose RPC fails is dropped from the owner cache on the spot (and,
-// on timeout, evicted from the membership view), so one dead replica costs
-// one timeout — not one per subsequent read.
-func (f *File) tryOwnersRead(ctx context.Context, owners []wire.OwnerInfo, seg ids.SegID, ver uint64, piece layout.Piece) ([]byte, error) {
-	var lastErr error
-	for _, o := range orderOwners(owners, f.c.ep.Host()) {
-		resp, err := f.c.callCtx(ctx, o.Node, wire.SegRead{Seg: seg, Version: ver, Offset: piece.Off, Length: piece.N})
-		if err != nil {
-			lastErr = err
-			f.dropCachedOwner(seg, o.Node)
-			f.c.noteDead(o.Node, err)
-			continue
-		}
-		r, ok := resp.(wire.SegReadResp)
-		if !ok || !r.OK || r.Redirect {
-			lastErr = fmt.Errorf("core: read %s from %s: %s", seg.Short(), o.Node, r.Err)
-			continue
-		}
-		if !readRespIntact(r) {
-			lastErr = fmt.Errorf("core: read %s from %s: checksum mismatch", seg.Short(), o.Node)
-			f.c.readMismatches.Inc()
-			f.dropCachedOwner(seg, o.Node)
-			continue
-		}
-		if lastErr != nil {
-			f.c.failovers.Inc()
-		}
-		return r.Data, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: no owner served %s v%d", ErrUnlocatable, seg.Short(), ver)
-	}
-	return nil, lastErr
 }
 
 // ---------------------------------------------------------------------------
@@ -729,7 +645,7 @@ func (f *File) ensureShadow(ref layout.SegRef, segIdx int) (wire.NodeID, error) 
 		node, err := f.openShadow(ref, segIdx)
 		f.mu.Lock()
 		if err == nil {
-			f.dirty[ref.ID] = &dirtySeg{node: node, isNew: ref.Version == 0, renewedAt: f.c.clock.Now()}
+			f.dirty[ref.ID] = &dirtySeg{node: node, renewedAt: f.c.clock.Now()}
 		}
 		delete(f.inflight, ref.ID)
 		f.mu.Unlock()
@@ -738,82 +654,53 @@ func (f *File) ensureShadow(ref layout.SegRef, segIdx int) (wire.NodeID, error) 
 	}
 }
 
-// openShadow places (for new segments) and opens a shadow copy, returning
-// the provider holding it. For an existing segment the shadow fails over
-// across the replica sites holding the newest version; a new segment whose
-// placed node won't answer is re-placed on an alternate.
+// openShadow opens a shadow copy of a data segment and returns the provider
+// holding it. An existing segment's shadow goes through the walk to an owner
+// at the version the index references; a new segment is placed, and re-placed
+// on an alternate when the placed node will not answer.
 func (f *File) openShadow(ref layout.SegRef, segIdx int) (wire.NodeID, error) {
-	isNew := ref.Version == 0
-	var cands []wire.NodeID
-	if isNew {
-		// Potential maximum size per the sizing scheme (paper footnote 2).
-		// Data segments are placed purely by the file's policy; the
-		// home-host 3N bias applies to index segments (the paper's
-		// motivating "particular case"), where the extra hop dominates.
-		maxSize := f.idx.Sizing.SegmentSize(segIdx)
-		exclude := make(map[wire.NodeID]bool)
-		for try := 0; try < 2; try++ {
-			n, err := f.c.place(f.attrs, maxSize, "", false, exclude)
-			if err != nil {
-				if len(cands) > 0 {
-					break // fewer candidates than tries; use what we have
-				}
-				return "", err
-			}
-			cands = append(cands, n)
-			exclude[n] = true
-		}
-	} else {
-		// Only replicas already at the version our index references can
-		// base the shadow correctly; a stale replica would fork history.
-		var maxVer uint64
-		owners, err := f.segOwners(ref.ID)
-		if err != nil {
-			return "", err
-		}
-		for _, o := range owners {
-			if o.Version > maxVer {
-				maxVer = o.Version
-			}
-		}
-		for _, o := range orderOwners(owners, f.c.ep.Host()) {
-			if o.Version == maxVer && o.Version >= ref.Version {
-				cands = append(cands, o.Node)
-			}
-		}
-		if len(cands) == 0 {
-			return "", fmt.Errorf("%w: no current replica of %s", ErrUnlocatable, ref.ID.Short())
-		}
-	}
-	var lastErr error
-	for i, node := range cands {
-		if i > 0 && !f.c.members.IsLive(node) {
-			continue // don't fail over onto a known-dead alternate
-		}
-		resp, err := f.c.call(node, wire.SegShadow{
+	var node wire.NodeID
+	shadowOn := func(n wire.NodeID) ([]wire.OwnerInfo, bool, error) {
+		resp, err := f.c.call(n, wire.SegShadow{
 			Owner:             f.owner,
 			Seg:               ref.ID,
-			BaseVer:           0,
 			TTLSec:            f.c.cfg.ShadowTTL.Seconds(),
 			ReplDeg:           f.attrs.ReplDeg,
 			LocalityThreshold: f.attrs.LocalityThreshold,
 		})
+		if r, ok := resp.(wire.SegShadowResp); err == nil && (!ok || !r.OK) {
+			err = fmt.Errorf("core: shadow %s on %s: %s", ref.ID.Short(), n, r.Err)
+		}
+		node = n
+		return nil, err == nil, err
+	}
+	if ref.Version > 0 {
+		_, err := f.c.walk(f, ref.ID, ref.Version, false, shadowOn)
+		return node, err
+	}
+	// Potential maximum size per the sizing scheme (paper footnote 2). Data
+	// segments are placed purely by the file's policy; the home-host 3N bias
+	// applies to index segments (the paper's motivating "particular case"),
+	// where the extra hop dominates.
+	maxSize := f.idx.Sizing.SegmentSize(segIdx)
+	var cands []wire.NodeID
+	exclude := make(map[wire.NodeID]bool)
+	for try := 0; try < 2; try++ {
+		n, err := f.c.place(f.attrs, maxSize, "", false, exclude)
 		if err != nil {
-			lastErr = err
-			f.dropCachedOwner(ref.ID, node)
-			f.c.noteDead(node, err)
-			continue
+			if len(cands) > 0 {
+				break // fewer candidates than tries; use what we have
+			}
+			return "", err
 		}
-		if r, ok := resp.(wire.SegShadowResp); !ok || !r.OK {
-			lastErr = fmt.Errorf("core: shadow %s on %s: %s", ref.ID.Short(), node, r.Err)
-			continue
-		}
-		if i > 0 {
-			f.c.failovers.Inc()
-		}
+		cands = append(cands, n)
+		exclude[n] = true
+	}
+	t := f.c.tries(f, ref.ID, shadowOn)
+	if done, _ := t.each(cands); done {
 		return node, nil
 	}
-	return "", lastErr
+	return "", t.lastErr
 }
 
 // renewStaleShadows resets the expiration timer of every shadow in this
@@ -843,21 +730,6 @@ func (f *File) renewStaleShadows() {
 		f.c.call(r.node, wire.SegRenew{Owner: f.owner, Seg: r.seg, TTLSec: f.c.cfg.ShadowTTL.Seconds()})
 		return nil
 	})
-}
-
-func (f *File) segOwners(seg ids.SegID) ([]wire.OwnerInfo, error) {
-	f.mu.Lock()
-	cached := f.owners[seg]
-	f.mu.Unlock()
-	if len(cached) > 0 {
-		return cached, nil
-	}
-	owners, err := f.c.locate(seg)
-	if err != nil {
-		return nil, err
-	}
-	f.cacheOwner(seg, owners)
-	return owners, nil
 }
 
 func min64(a, b int64) int64 {

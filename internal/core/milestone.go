@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ids"
-	"repro/internal/layout"
 	"repro/internal/wire"
 )
 
@@ -35,45 +34,22 @@ func (c *Client) pin(path string, ver uint64, unpin bool) error {
 		ver = entry.Version
 	}
 	// Fetch the index *at the milestone version* to learn the data segment
-	// versions it references.
-	data, _, err := c.readWhole(entry.FileID, ver)
+	// versions it references, then pin the index segment itself plus every
+	// referenced data segment, on every owner.
+	entry.Version = ver
+	idx, indexOwners, err := c.fetchIndex(entry)
 	if err != nil {
 		return fmt.Errorf("core: pin %s v%d: %w", path, ver, err)
 	}
-	idx, err := layout.Decode(data)
-	if err != nil {
-		return err
-	}
-	// Pin the index segment itself plus every referenced data segment, on
-	// every owner.
-	targets := []struct {
-		seg ids.SegID
-		ver uint64
-	}{{entry.FileID, ver}}
-	for _, ref := range idx.Segs {
-		targets = append(targets, struct {
-			seg ids.SegID
-			ver uint64
-		}{ref.ID, ref.Version})
-	}
-	for _, tgt := range targets {
-		owners, lerr := c.locate(tgt.seg)
-		if lerr != nil {
-			return fmt.Errorf("core: pin %s: locate %s: %w", path, tgt.seg.Short(), lerr)
+	return c.eachReplica(entry.FileID, ver, idx, indexOwners, false, func(seg ids.SegID, ver uint64, node wire.NodeID) error {
+		resp, err := c.call(node, wire.SegPin{Seg: seg, Version: ver, Unpin: unpin})
+		if err != nil {
+			return err
 		}
-		for _, o := range owners {
-			resp, cerr := c.call(o.Node, wire.SegPin{Seg: tgt.seg, Version: tgt.ver, Unpin: unpin})
-			if cerr != nil {
-				return cerr
-			}
-			if g, ok := resp.(wire.GenericResp); !ok || !g.OK {
-				// An owner that no longer holds this version cannot pin it;
-				// surface the first hard failure.
-				if !unpin {
-					return fmt.Errorf("core: pin %s v%d on %s: %s", tgt.seg.Short(), tgt.ver, o.Node, g.Err)
-				}
-			}
+		if g, ok := resp.(wire.GenericResp); (!ok || !g.OK) && !unpin {
+			// An owner that no longer holds this version cannot pin it.
+			return fmt.Errorf("core: pin %s v%d on %s: %s", seg.Short(), ver, node, g.Err)
 		}
-	}
-	return nil
+		return nil
+	})
 }

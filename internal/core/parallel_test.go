@@ -131,7 +131,9 @@ type miniCluster struct {
 	providers map[wire.NodeID]*provider.Provider
 }
 
-func newMiniCluster(t *testing.T, nProviders int) *miniCluster {
+// newMiniCluster starts nProviders providers; tune, if given, adjusts each
+// one's configuration.
+func newMiniCluster(t *testing.T, nProviders int, tune ...func(*provider.Config)) *miniCluster {
 	t.Helper()
 	clock := simtime.NewClock(0.001)
 	fabric := simnet.New(clock, simnet.Config{})
@@ -146,6 +148,9 @@ func newMiniCluster(t *testing.T, nProviders int) *miniCluster {
 	for i := 0; i < nProviders; i++ {
 		id := wire.NodeID(fmt.Sprintf("p%02d", i))
 		cfg := provider.Config{Seed: int64(i + 1)}
+		for _, fn := range tune {
+			fn(&cfg)
+		}
 		d := disk.New(clock, string(id), disk.SCSI10K(), 8<<30)
 		p, err := provider.New(id, clock, cfg, fabric, d)
 		if err != nil {

@@ -43,7 +43,9 @@ func NewTable(clock *simtime.Clock) *Table {
 }
 
 // Update applies a single-segment fast-path update (creation, deletion,
-// version advance; paper §3.4.1 event 4).
+// version advance; paper §3.4.1 event 4). Owners announce each commit in
+// its own goroutine, so two quick commits can arrive out of order: an update
+// never lowers an owner's version.
 func (t *Table) Update(from wire.NodeID, e wire.LocEntry, removed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -56,19 +58,21 @@ func (t *Table) Update(from wire.NodeID, e wire.LocEntry, removed bool) {
 		}
 		return
 	}
-	t.insertLocked(from, e)
+	t.insertLocked(from, e, true)
 }
 
-// Refresh applies a batch content refresh from one owner (event 1).
+// Refresh applies a batch content refresh from one owner (event 1). A
+// refresh is the owner's whole state and may report less than the table
+// holds: a restart drops torn commits.
 func (t *Table) Refresh(from wire.NodeID, entries []wire.LocEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, e := range entries {
-		t.insertLocked(from, e)
+		t.insertLocked(from, e, false)
 	}
 }
 
-func (t *Table) insertLocked(from wire.NodeID, e wire.LocEntry) {
+func (t *Table) insertLocked(from wire.NodeID, e wire.LocEntry, keepHigher bool) {
 	rec, ok := t.segs[e.Seg]
 	if !ok {
 		rec = &segRec{owners: make(map[wire.NodeID]*ownerRec)}
@@ -85,8 +89,10 @@ func (t *Table) insertLocked(from wire.NodeID, e wire.LocEntry) {
 		o = &ownerRec{}
 		rec.owners[from] = o
 	}
-	o.version = e.Version
-	o.size = e.Size
+	if !keepHigher || e.Version >= o.version {
+		o.version = e.Version
+		o.size = e.Size
+	}
 	o.lastRefresh = t.clock.Now()
 }
 

@@ -187,3 +187,24 @@ func TestLocalityThresholdPropagates(t *testing.T) {
 		t.Errorf("threshold lost: %+v", acts)
 	}
 }
+
+// TestUpdateNeverLowersVersion: an owner announces each commit in its own
+// goroutine, so the home host can receive v2's update before v1's. The late
+// v1 must not roll the table back, but a refresh — the owner's whole state,
+// as after a restart that dropped a torn commit — may report less.
+func TestUpdateNeverLowersVersion(t *testing.T) {
+	tbl, _ := newTable()
+	seg := ids.New()
+	tbl.Update("p1", wire.LocEntry{Seg: seg, Version: 2, Size: 200, ReplDeg: 1}, false)
+	tbl.Update("p1", wire.LocEntry{Seg: seg, Version: 1, Size: 100, ReplDeg: 1}, false)
+	if got := tbl.Owners(seg); len(got) != 1 || got[0].Version != 2 {
+		t.Fatalf("owners after v2 then v1 = %v, want p1 at v2", got)
+	}
+	if act, ok := tbl.ScanSeg(seg, nil); ok || act.Size != 200 {
+		t.Errorf("scan after the late update = %+v, %v; want v2's size 200 and nothing to do", act, ok)
+	}
+	tbl.Refresh("p1", []wire.LocEntry{{Seg: seg, Version: 1, Size: 100, ReplDeg: 1}})
+	if got := tbl.Owners(seg); len(got) != 1 || got[0].Version != 1 {
+		t.Fatalf("owners after a refresh at v1 = %v, want p1 at v1", got)
+	}
+}
