@@ -38,14 +38,15 @@ race:
 # version consolidated away, nor a commit on a stale replica), a commit past
 # a stale co-located replica, the coordinator's refusal of a plan behind the
 # base, a shadow open past a stale home answer, a commit retry that replays
-# onto the versions the session was based on, and a location table that a
-# late update never rolls back.
+# onto the versions the session was based on, a commit after one whose
+# namespace record was lost, a file read after five such commits in a row,
+# and a location table that a late update never rolls back.
 regress:
 	go test ./internal/cluster -run 'TestGrowingFileAcrossManySegments$$' -count=200
 	go test ./internal/cluster -run 'TestNamespaceWALRecoversAfterMidCommitCrash$$' -count=300
 	go test ./internal/provider -run 'TestStopUnderLocationStorm$$' -race -count=50
 	go test ./internal/cluster -run 'TestAtomicAppendConcurrent$$' -race -count=200
-	go test ./internal/core -run 'TestCommitPublishesPastAStaleCoLocatedReplica$$|TestCommitRefusesAnIndexPlanBehindTheBase$$|TestShadowOpenProbesPastAStaleHomeAnswer$$|TestCommitRetryReplaysOntoTheBaseVersions$$|TestCommitAfterALostNamespaceRecord$$' -count=200
+	go test ./internal/core -run 'TestCommitPublishesPastAStaleCoLocatedReplica$$|TestCommitRefusesAnIndexPlanBehindTheBase$$|TestShadowOpenProbesPastAStaleHomeAnswer$$|TestCommitRetryReplaysOntoTheBaseVersions$$|TestCommitAfterALostNamespaceRecord$$|TestReadAfterManyLostNamespaceRecords$$' -count=200
 	go test ./internal/locate -run 'TestUpdateNeverLowersVersion$$' -count=200
 
 # Non-test Go lines per package outside benchmark/ — the number ROADMAP's

@@ -133,16 +133,13 @@ func RunDeltaSyncAblation() (*AblationResult, error) {
 				return nil, err
 			}
 		}
-		ranges, _, _, _, _, full, _, err := st.FetchDelta(seg, 1)
+		r, err := st.Fetch(seg, 0, 1)
 		if err != nil {
 			return nil, err
 		}
-		var deltaBytes int64
-		if full != nil {
-			deltaBytes = int64(len(full))
-		}
-		for _, r := range ranges {
-			deltaBytes += int64(len(r.Data))
+		deltaBytes := int64(len(r.Data))
+		for _, c := range r.Ranges {
+			deltaBytes += int64(len(c.Data))
 		}
 		res.Rows = append(res.Rows,
 			AblationRow{Setting: pattern.name + " (delta)", Value: float64(deltaBytes)},

@@ -335,6 +335,7 @@ func (f *File) writeIndexShadow(ctx context.Context, encoded []byte) (wire.NodeI
 		resp, err := f.c.callRetry(ctx, n, wire.SegShadow{
 			Owner:             f.owner,
 			Seg:               fid,
+			BaseVer:           f.baseVer, // kept there until a later commit is based past it
 			TTLSec:            f.c.cfg.ShadowTTL.Seconds(),
 			ReplDeg:           f.attrs.ReplDeg,
 			LocalityThreshold: 0, // index segments follow reads, not locality policy

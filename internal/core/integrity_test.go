@@ -83,7 +83,7 @@ func TestOpenRejectsGarbageIndex(t *testing.T) {
 	newVer := entry.Version + 1
 	for _, p := range mc.providers {
 		if p.Store().Stat(entry.FileID).Present {
-			if err := p.Store().Install(entry.FileID, newVer, idx.Encode(), 1, 0); err != nil {
+			if err := p.Store().Install(entry.FileID, newVer, idx.Encode(), nil, 1, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

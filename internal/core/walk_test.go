@@ -127,7 +127,7 @@ func laggingIndexReplica(t *testing.T) (*miniCluster, *Client, ids.SegID, wire.N
 	commitAt(t, c0, "/f", []byte("v2"))
 	x := holder(t, mc, c0, fid, 2)
 	y := other(mc, x)
-	if err := mc.providers[y].Store().Install(fid, 1, v1, 1, 0); err != nil {
+	if err := mc.providers[y].Store().Install(fid, 1, v1, nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	return mc, c0, fid, x, y
@@ -344,5 +344,47 @@ func TestCommitAfterALostNamespaceRecord(t *testing.T) {
 		if got, _ := readAll(t, c0, "/n"); got != "kept-"+cl.name {
 			t.Fatalf("after %s's commit: read %q", cl.name, got)
 		}
+	}
+}
+
+// TestReadAfterManyLostNamespaceRecords: five sessions in a row commit the
+// index on its provider while the namespace records none of them, so the
+// provider runs five versions past the v2 the namespace still names. Every
+// one of those plans was based on v2, so the provider keeps it: readers
+// still get "v2" at v2, and a later commit is read back.
+func TestReadAfterManyLostNamespaceRecords(t *testing.T) {
+	mc := newMiniCluster(t, 3)
+	c0 := mc.client(t, "c0", nil)
+	f0, err := c0.Create("/m", wire.DefaultAttrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	commitAt(t, c0, "/m", []byte("v2"))
+	cl := mc.client(t, "c1", func(cfg *Config) { cfg.Retry.MaxAttempts = 1 })
+	ep := &failingCompletes{Endpoint: cl.ep}
+	cl.ep = ep
+	ep.on.Store(true)
+	for i := range 5 {
+		f, err := cl.OpenWrite("/m")
+		if err != nil {
+			t.Fatalf("open for lost round %d: %v", i, err)
+		}
+		if _, err := f.WriteAt([]byte("lost"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err == nil {
+			t.Fatalf("round %d: Close succeeded although the namespace never recorded the commit", i)
+		}
+	}
+	ep.on.Store(false)
+	if got, ver := readAll(t, c0, "/m"); got != "v2" || ver != 2 {
+		t.Fatalf("after five unrecorded commits: %q at v%d, want \"v2\" at v2", got, ver)
+	}
+	commitAt(t, cl, "/m", []byte("kept"))
+	if got, _ := readAll(t, c0, "/m"); got != "kept" {
+		t.Fatalf("after a recorded commit: read %q, want \"kept\"", got)
 	}
 }

@@ -60,7 +60,7 @@ func TestFetchRedirectNeverLooksLikeData(t *testing.T) {
 
 	seg := ids.New()
 	current := []byte("index, version two")
-	if err := src.store.Install(seg, 2, current, 1, 0); err != nil {
+	if err := src.store.Install(seg, 2, current, nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	entry := wire.LocEntry{Seg: seg, Version: 2, Size: int64(len(current)), ReplDeg: 1}
@@ -88,14 +88,14 @@ func TestFetchRedirectNeverLooksLikeData(t *testing.T) {
 	}
 
 	// The home host holds only an older version than the one asked for.
-	if err := home.store.Install(seg, 1, []byte("index, version one"), 1, 0); err != nil {
+	if err := home.store.Install(seg, 1, []byte("index, version one"), nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	wantRedirect(t, "home one version behind", fetch(t, home, wire.SegFetch{Seg: seg, Version: 2}))
 
 	// A home host that holds the version serves it with the owners it knows,
 	// itself included.
-	if err := home.store.Install(seg, 2, current, 1, 0); err != nil {
+	if err := home.store.Install(seg, 2, current, nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	r := fetch(t, home, wire.SegFetch{Seg: seg, Version: 2})

@@ -34,9 +34,6 @@ func (h *handler) HandleCall(ctx context.Context, from wire.NodeID, req any) (an
 	case wire.SegRenew:
 		p.charge()
 		return genResp(p.store.Renew(m.Owner, m.Seg, time.Duration(m.TTLSec*float64(time.Second)))), nil
-	case wire.SegDrop:
-		p.charge()
-		return genResp(p.store.Drop(m.Owner, m.Seg)), nil
 	case wire.SegDelete:
 		p.charge()
 		err := p.store.Delete(m.Seg)
@@ -50,14 +47,8 @@ func (h *handler) HandleCall(ctx context.Context, from wire.NodeID, req any) (an
 			return genResp(p.store.UnpinVersion(m.Seg, m.Version)), nil
 		}
 		return genResp(p.store.PinVersion(m.Seg, m.Version)), nil
-	case wire.SegStat:
-		p.charge()
-		st := p.store.Stat(m.Seg)
-		return wire.SegStatResp{OK: st.Present, Version: st.Version, Size: st.Size, Shadow: st.HasShadow}, nil
 	case wire.SegFetch:
 		return p.handleFetch(m), nil
-	case wire.SegFetchDelta:
-		return p.handleFetchDelta(m), nil
 	case wire.Prepare2PC:
 		return p.handlePrepare(m), nil
 	case wire.Commit2PC:
@@ -85,8 +76,6 @@ func (h *handler) HandleCall(ctx context.Context, from wire.NodeID, req any) (an
 		return p.handleSync(m), nil
 	case wire.ReplicateNotify:
 		return p.handleReplicate(m), nil
-	case wire.MigrateRequest:
-		return genResp(p.handOff(m.Seg, m.Dest, reasonLocality)), nil
 	case wire.AdminDrain:
 		if m.Node != "" && m.Node != p.id {
 			return wire.GenericResp{Err: fmt.Sprintf("provider %s: drain addressed to %s", p.id, m.Node)}, nil
@@ -164,7 +153,7 @@ func (p *Provider) handleCreate(from wire.NodeID, m wire.SegCreate) wire.SegCrea
 	if ver == 1 {
 		err = p.store.Create(m.Seg, m.Data, m.ReplDeg, m.LocalityThreshold, m.Direct)
 	} else {
-		err = p.store.Install(m.Seg, ver, m.Data, m.ReplDeg, m.LocalityThreshold)
+		err = p.store.Install(m.Seg, ver, m.Data, nil, m.ReplDeg, m.LocalityThreshold)
 	}
 	if err != nil {
 		return wire.SegCreateResp{Err: err.Error()}
@@ -187,7 +176,7 @@ func (p *Provider) handleShadow(m wire.SegShadow) wire.SegShadowResp {
 		p.pm.prepare2PC.Inc()
 		start := p.clock.Now()
 		defer func() { p.pm.prepareLat.ObserveDuration(p.clock.Now() - start) }()
-		planned, err := p.store.ReplaceAndPrepare(m.Owner, m.Seg, m.Data, ttl, replDeg, m.LocalityThreshold)
+		planned, err := p.store.ReplaceAndPrepare(m.Owner, m.Seg, m.BaseVer, m.Data, ttl, replDeg, m.LocalityThreshold)
 		if err != nil {
 			return wire.SegShadowResp{Err: err.Error()}
 		}
@@ -226,14 +215,15 @@ func (p *Provider) handleShadowRead(m wire.SegShadowRead) wire.SegReadResp {
 	return wire.SegReadResp{OK: true, Data: data, EOF: int64(len(data)) < m.Length}
 }
 
-// handleFetch serves a whole segment version. A client's index fetch comes
-// to the home host first (paper §3.7.2: the home host of a small segment is
-// usually its owner), so the answer always carries the location table's
-// owners: beside the payload when this node holds the version, in place of
-// it when it does not.
+// handleFetch serves a segment version, whole or as the changes since the
+// asker's HaveVer (Store.Fetch decides). A client's index fetch comes to the
+// home host first (paper §3.7.2: the home host of a small segment is usually
+// its owner), so the answer always carries the location table's owners:
+// beside the payload when this node holds the version, in place of it when
+// it does not.
 func (p *Provider) handleFetch(m wire.SegFetch) wire.SegFetchResp {
 	p.charge()
-	data, ver, replDeg, locThresh, sums, err := p.store.Fetch(m.Seg, m.Version)
+	r, err := p.store.Fetch(m.Seg, m.Version, m.HaveVer)
 	owners := p.table.Owners(m.Seg)
 	if err != nil {
 		// Not here, not at that version, or not intact: the owners this node
@@ -246,22 +236,10 @@ func (p *Provider) handleFetch(m wire.SegFetch) wire.SegFetchResp {
 		self = self || o.Node == p.id
 	}
 	if !self {
-		owners = append([]wire.OwnerInfo{{Node: p.id, Version: ver}}, owners...)
+		owners = append([]wire.OwnerInfo{{Node: p.id, Version: r.Version}}, owners...)
 	}
-	return wire.SegFetchResp{OK: true, Version: ver, Data: data, ReplDeg: replDeg, LocalityThreshold: locThresh, Sums: sums, Owners: owners}
-}
-
-func (p *Provider) handleFetchDelta(m wire.SegFetchDelta) wire.SegFetchDeltaResp {
-	p.charge()
-	ranges, size, ver, replDeg, locThresh, full, sums, err := p.store.FetchDelta(m.Seg, m.HaveVer)
-	if err != nil {
-		return wire.SegFetchDeltaResp{Err: err.Error()}
-	}
-	return wire.SegFetchDeltaResp{
-		OK: true, Version: ver, Size: size, Ranges: ranges,
-		FullFallback: full != nil, Full: full,
-		ReplDeg: replDeg, LocalityThreshold: locThresh, Sums: sums,
-	}
+	r.OK, r.Owners = true, owners
+	return r
 }
 
 func (p *Provider) handlePrepare(m wire.Prepare2PC) wire.Prepare2PCResp {

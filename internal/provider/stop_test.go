@@ -50,7 +50,7 @@ func TestStopUnderLocationStorm(t *testing.T) {
 		p.members.ObserveHeartbeat(wire.Heartbeat{From: id, Seq: 1})
 	}
 	remote, local := ids.New(), ids.New()
-	if err := p.store.Install(local, 1, []byte("x"), 1, 0); err != nil {
+	if err := p.store.Install(local, 1, []byte("x"), nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	p.Start()

@@ -154,32 +154,21 @@ func (p *Provider) backoff(attempt int) bool {
 }
 
 // pullFrom is one attempt against one source, ending at the one point where
-// pulled bytes are accepted into the store.
+// pulled bytes are accepted into the store. It asks once, for the changes
+// since the local version (the source answers with the whole version when
+// it no longer has them), and asks again for the whole version only when
+// the changes do not apply to the local copy.
 func (p *Provider) pullFrom(t transfer, source wire.NodeID) error {
 	base := p.store.Stat(t.seg).Version
 	for {
-		var d wire.SegFetchDeltaResp // also carries a whole version, as Full
-		if base > 0 {
-			resp, err := p.call(source, wire.SegFetchDelta{Seg: t.seg, HaveVer: base})
-			if err != nil {
-				return err
-			}
-			d, _ = resp.(wire.SegFetchDeltaResp)
+		resp, err := p.call(source, wire.SegFetch{Seg: t.seg, HaveVer: base})
+		if err != nil {
+			return err
 		}
-		if !d.OK {
-			// No base here, or no change record for it there.
-			resp, err := p.call(source, wire.SegFetch{Seg: t.seg})
-			if err != nil {
-				return err
-			}
-			f, ok := resp.(wire.SegFetchResp)
-			if !ok || !f.OK {
-				// A redirect is not data: only an OK answer is ever installed.
-				return fmt.Errorf("fetch from %s failed: %s", source, f.Err)
-			}
-			d = wire.SegFetchDeltaResp{Version: f.Version, FullFallback: true, Full: f.Data,
-				ReplDeg: f.ReplDeg, LocalityThreshold: f.LocalityThreshold, Sums: f.Sums}
-			base = 0
+		d, ok := resp.(wire.SegFetchResp)
+		if !ok || !d.OK {
+			// A redirect is not data: only an OK answer is ever installed.
+			return fmt.Errorf("fetch from %s failed: %s", source, d.Err)
 		}
 		if d.Version <= base {
 			return nil // the source is no further than we are
@@ -187,16 +176,17 @@ func (p *Provider) pullFrom(t transfer, source wire.NodeID) error {
 		// The accept point. Verify-on-replicate: bytes that fail the sender's
 		// commit-time sums are never installed — corruption must not propagate
 		// — and the failed attempt rotates to another source. ApplyDelta makes
-		// the same check on the buffer it reconstructs. (ROADMAP item 4's
-		// still-wanted check belongs here: one `if` before the install.)
+		// the same check on the buffer it reconstructs. Both keep the sums
+		// they checked against. (The still-wanted check of "deletes that
+		// stick" belongs here: one `if` before the install.)
 		outcome, moved := "delta", int64(0)
-		if d.FullFallback {
-			outcome, moved = "full", int64(len(d.Full))
-			if !verifyPayload(d.Full, d.Sums) {
+		if !d.Delta {
+			outcome, moved = "full", int64(len(d.Data))
+			if !verifyPayload(d.Data, d.Sums) {
 				p.count(t.reason, "reject", 0)
 				return errors.New("pull: payload failed checksum")
 			}
-			if err := p.store.Install(t.seg, d.Version, d.Full, orDefault(t.replDeg, d.ReplDeg), orDefault(t.locThresh, d.LocalityThreshold)); err != nil {
+			if err := p.store.Install(t.seg, d.Version, d.Data, d.Sums, orDefault(t.replDeg, d.ReplDeg), orDefault(t.locThresh, d.LocalityThreshold)); err != nil {
 				return err
 			}
 		} else {

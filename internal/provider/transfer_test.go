@@ -21,6 +21,8 @@ import (
 
 // spyEndpoint records the type and destination of every call its owner sends.
 // A call recorded as holdOn announces itself on entered and waits for hold.
+// With flip set, the first byte of every whole version fetched is flipped on
+// its way in, after the source verified it.
 type spyEndpoint struct {
 	transport.Endpoint
 	mu      sync.Mutex
@@ -28,6 +30,7 @@ type spyEndpoint struct {
 	holdOn  string
 	entered chan struct{}
 	hold    chan struct{}
+	flip    bool
 }
 
 func (s *spyEndpoint) Call(ctx context.Context, to wire.NodeID, req any) (any, error) {
@@ -39,7 +42,13 @@ func (s *spyEndpoint) Call(ctx context.Context, to wire.NodeID, req any) (any, e
 		s.entered <- struct{}{}
 		<-s.hold
 	}
-	return s.Endpoint.Call(ctx, to, req)
+	resp, err := s.Endpoint.Call(ctx, to, req)
+	if f, ok := resp.(wire.SegFetchResp); ok && s.flip && len(f.Data) > 0 {
+		f.Data = append([]byte(nil), f.Data...) // it may alias the source's store
+		f.Data[0] ^= 1
+		resp = f
+	}
+	return resp, err
 }
 
 type pullRig struct {
@@ -93,7 +102,7 @@ func (r *pullRig) commit(t *testing.T, p *Provider, off int64, data []byte) {
 
 func (r *pullRig) install(t *testing.T, p *Provider, ver uint64, data []byte) {
 	t.Helper()
-	if err := p.store.Install(r.seg, ver, data, 2, 0); err != nil {
+	if err := p.store.Install(r.seg, ver, data, nil, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,7 +134,7 @@ func TestPull(t *testing.T) {
 				return transfer{seg: r.seg, want: 2, source: "src", reason: reasonSync}
 			},
 			ok: true, counts: map[string]int64{"delta": 1}, holds: v2,
-			calls: func(r *pullRig) []string { return []string{"SegFetchDelta→src", "LocUpdate→" + home(r)} },
+			calls: func(r *pullRig) []string { return []string{"SegFetch→src", "LocUpdate→" + home(r)} },
 		},
 		{
 			name: "no base takes the whole version",
@@ -153,6 +162,8 @@ func TestPull(t *testing.T) {
 			},
 		},
 		{
+			// The source verifies a whole version before it leaves and
+			// refuses to send it.
 			name: "payload rotten at the source is rejected, never installed",
 			setup: func(t *testing.T, r *pullRig) transfer {
 				r.install(t, r.puller, 1, v1)
@@ -162,9 +173,22 @@ func TestPull(t *testing.T) {
 				}
 				return transfer{seg: r.seg, want: 2, source: "src", reason: reasonSync}
 			},
+			ok: false, counts: map[string]int64{"retry": maxPullAttempts - 1, "fail": 1}, holds: v1,
+			calls: func(r *pullRig) []string {
+				return []string{"SegFetch→src", "SegFetch→src", "SegFetch→src"}
+			},
+		},
+		{
+			name: "payload rotten on the way is rejected by the receiver",
+			setup: func(t *testing.T, r *pullRig) transfer {
+				r.install(t, r.puller, 1, v1)
+				r.install(t, r.src, 2, v2)
+				r.spy.flip = true
+				return transfer{seg: r.seg, want: 2, source: "src", reason: reasonSync}
+			},
 			ok: false, counts: map[string]int64{"reject": maxPullAttempts, "retry": maxPullAttempts - 1, "fail": 1}, holds: v1,
 			calls: func(r *pullRig) []string {
-				return []string{"SegFetchDelta→src", "SegFetchDelta→src", "SegFetchDelta→src"}
+				return []string{"SegFetch→src", "SegFetch→src", "SegFetch→src"}
 			},
 		},
 		{
@@ -195,6 +219,13 @@ func TestPull(t *testing.T) {
 			got, _, err := r.puller.store.Read(r.seg, 0, 0, int64(len(v2))+1)
 			if err != nil || !bytes.Equal(got, row.holds) {
 				t.Errorf("the puller serves %d bytes (err %v), want the %d of the expected version", len(got), err, len(row.holds))
+			}
+			// The sums kept are the source's, and a scrub reads the copy clean.
+			if f, err := r.puller.store.Fetch(r.seg, 0, 0); err != nil || !reflect.DeepEqual(f.Sums, wire.SumsOf(row.holds)) {
+				t.Errorf("the puller's sums differ from the source's (err %v)", err)
+			}
+			if _, dropped, _ := r.puller.store.ScrubSegment(r.seg); dropped != 0 {
+				t.Errorf("a scrub dropped %d versions of the pulled copy", dropped)
 			}
 		})
 	}

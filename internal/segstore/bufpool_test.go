@@ -146,12 +146,12 @@ func TestDirectReadIsACopy(t *testing.T) {
 		}
 	}
 	// And the fetch path too.
-	f1, _, _, _, _, err := st.Fetch(seg, 0)
+	f1, err := st.Fetch(seg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.WriteDirect(seg, 0, bytes.Repeat([]byte{5}, 64))
-	for i, b := range f1 {
+	for i, b := range f1.Data {
 		if b != 9 {
 			t.Fatalf("direct fetch aliased storage: byte %d = %d", i, b)
 		}

@@ -62,7 +62,7 @@ func BenchmarkCommitSequential(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			seg := ids.New()
-			if _, err := st.ReplaceAndPrepare("w", seg, index, 0, 1, 0); err != nil {
+			if _, err := st.ReplaceAndPrepare("w", seg, 0, index, 0, 1, 0); err != nil {
 				b.Fatal(err)
 			}
 			if _, _, err := st.CommitPrepared("w", seg); err != nil {
@@ -95,7 +95,7 @@ func seqWrites(pieces, piece int) []commitStep {
 // — adopted in place, or copied into an exact-size buffer — and checks
 // everything a commit promises against a flat []byte model: bytes, sums,
 // recorded change ranges, disk accounting, and that a replica holding the
-// previous version reaches the new one through FetchDelta/ApplyDelta.
+// previous version reaches the new one through Fetch/ApplyDelta.
 func TestCommitPathsMatchFlatModel(t *testing.T) {
 	const K = 1 << 10
 	cases := []struct {
@@ -132,7 +132,7 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 				if err := src.Create(seg, model, 1, 0, false); err != nil {
 					t.Fatal(err)
 				}
-				if err := dst.Install(seg, 1, model, 1, 0); err != nil {
+				if err := dst.Install(seg, 1, model, nil, 1, 0); err != nil {
 					t.Fatal(err)
 				}
 				ver, sizes = 1, []int64{int64(tc.base)}
@@ -156,7 +156,7 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 					data := make([]byte, s.n)
 					rnd.Read(data)
 					if s.replace {
-						if _, err := src.ReplaceAndPrepare("w", seg, data, time.Minute, 1, 0); err != nil {
+						if _, err := src.ReplaceAndPrepare("w", seg, 0, data, time.Minute, 1, 0); err != nil {
 							t.Fatal(err)
 						}
 						model, dirty = model[:0], dirty[:0]
@@ -200,8 +200,8 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 				if err != nil || gv != planned || !bytes.Equal(got, model) {
 					t.Fatalf("commit %d: Read = %d bytes v%d err %v; differs from model (%d bytes)", ci, len(got), gv, err, len(model))
 				}
-				_, _, _, _, sums, err := src.Fetch(seg, 0)
-				if err != nil || !reflect.DeepEqual(sums, wire.SumsOf(model)) {
+				r, err := src.Fetch(seg, 0, 0)
+				if err != nil || !reflect.DeepEqual(r.Sums, wire.SumsOf(model)) {
 					t.Fatalf("commit %d: Fetch sums differ from the model's (err %v)", ci, err)
 				}
 				if !src.VerifyVersion(seg, 0) {
@@ -236,11 +236,11 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 				}
 
 				if ver != 0 {
-					ranges, size, v, rd, lt, full, sums, err := src.FetchDelta(seg, ver)
-					if err != nil || full != nil {
-						t.Fatalf("commit %d: FetchDelta: full=%v err %v, want ranges", ci, full != nil, err)
+					d, err := src.Fetch(seg, 0, ver)
+					if err != nil || !d.Delta {
+						t.Fatalf("commit %d: Fetch since v%d: delta=%v err %v, want ranges", ci, ver, d.Delta, err)
 					}
-					if err := dst.ApplyDelta(seg, ver, v, ranges, size, rd, lt, sums); err != nil {
+					if err := dst.ApplyDelta(seg, ver, d.Version, d.Ranges, d.Size, d.ReplDeg, d.LocalityThreshold, d.Sums); err != nil {
 						t.Fatalf("commit %d: ApplyDelta: %v", ci, err)
 					}
 					if got, _, _ := dst.Read(seg, 0, 0, 1<<30); !bytes.Equal(got, model) {
@@ -277,8 +277,8 @@ func TestAdoptedVersionSurvivesPoolChurn(t *testing.T) {
 	if &held[0] != shadowBuf {
 		t.Fatal("sequentially written segment was not adopted; the test would prove nothing")
 	}
-	_, _, _, _, sums, _ := st.Fetch(seg, 0)
-	sums = append([]uint32(nil), sums...)
+	r, _ := st.Fetch(seg, 0, 0)
+	sums := append([]uint32(nil), r.Sums...)
 
 	// Other sessions push shadows of every class the adopted buffer passed
 	// through (8K..64K), ending each of the four ways a shadow can end.
@@ -311,8 +311,8 @@ func TestAdoptedVersionSurvivesPoolChurn(t *testing.T) {
 	if got, _, err := st.Read(seg, 0, 0, 64*K); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("fresh Read after churn: err %v, equal %v", err, bytes.Equal(got, want))
 	}
-	if _, _, _, _, after, err := st.Fetch(seg, 0); err != nil || !reflect.DeepEqual(after, sums) {
-		t.Fatalf("Fetch after churn: err %v, sums equal %v", err, reflect.DeepEqual(after, sums))
+	if after, err := st.Fetch(seg, 0, 0); err != nil || !reflect.DeepEqual(after.Sums, sums) {
+		t.Fatalf("Fetch after churn: err %v, sums equal %v", err, reflect.DeepEqual(after.Sums, sums))
 	}
 	if !st.VerifyVersion(seg, 0) {
 		t.Fatal("adopted version no longer matches its commit-time sums")

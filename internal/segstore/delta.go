@@ -9,68 +9,26 @@ import (
 // version.
 type DeltaRange = wire.DeltaRange
 
-// FetchDelta returns the changes needed to advance a replica from haveVer
-// to the latest committed version (paper §3.6: stale replicas "retrieve
-// the updates", not whole segments). When the intermediate change sets
-// have been consolidated away, full falls back to the complete payload.
-// sums are the latest version's commit-time checksums: the receiver applies
-// the delta and verifies the result against them before committing it.
-func (st *Store) FetchDelta(seg ids.SegID, haveVer uint64) (ranges []DeltaRange, newSize int64, ver uint64, replDeg int, locThresh float64, full []byte, sums []uint32, err error) {
-	st.mu.Lock()
-	s, ok := st.segs[seg]
-	if !ok || s.latest == 0 {
-		st.mu.Unlock()
-		return nil, 0, 0, 0, 0, nil, nil, ErrNotFound
-	}
-	ver = s.latest
-	replDeg, locThresh = s.replDeg, s.localityThreshold
-	latest := s.versions[s.latest]
-	newSize = int64(len(latest))
-	sums = s.sums[s.latest]
-	if haveVer >= ver {
-		st.mu.Unlock()
-		return nil, newSize, ver, replDeg, locThresh, nil, sums, nil
-	}
-	// Collect the union of changed ranges across (haveVer, ver]. If any
-	// change set is missing (consolidated), fall back to a full transfer.
+// changedSinceLocked returns the byte ranges of data, version ver of s,
+// that changed after version have, aliasing data (delta ranges only exist
+// for versioned, immutable segments). ok is false when a change set in
+// (have, ver] has been consolidated away.
+func changedSinceLocked(s *segment, data []byte, have, ver uint64) (ranges []DeltaRange, ok bool) {
 	var union []rng
-	complete := haveVer > 0
-	for v := haveVer + 1; complete && v <= ver; v++ {
-		ch, ok := s.changes[v]
-		if !ok {
-			complete = false
-			break
+	for v := have + 1; v <= ver; v++ {
+		ch, kept := s.changes[v]
+		if !kept {
+			return nil, false
 		}
 		union = append(union, ch...)
 	}
-	if !complete {
-		// Zero-copy like Read/Fetch: latest is immutable unless direct.
-		out := latest[:len(latest):len(latest)]
-		if s.direct {
-			out = append([]byte(nil), latest...)
+	size := int64(len(data))
+	for _, r := range mergeRanges(union) {
+		if lo, hi := r.off, min(r.end, size); lo < hi {
+			ranges = append(ranges, DeltaRange{Off: lo, Data: data[lo:hi:hi]})
 		}
-		st.mu.Unlock()
-		st.chargeRead(int64(len(out)))
-		return nil, newSize, ver, replDeg, locThresh, out, sums, nil
 	}
-	union = mergeRanges(union)
-	var total int64
-	for _, r := range union {
-		lo, hi := r.off, r.end
-		if lo >= newSize {
-			continue
-		}
-		if hi > newSize {
-			hi = newSize
-		}
-		// Delta ranges only exist for versioned (immutable) segments, so
-		// they alias the latest version safely.
-		ranges = append(ranges, DeltaRange{Off: lo, Data: latest[lo:hi:hi]})
-		total += hi - lo
-	}
-	st.mu.Unlock()
-	st.chargeRead(total)
-	return ranges, newSize, ver, replDeg, locThresh, nil, sums, nil
+	return ranges, true
 }
 
 // ApplyDelta advances a local replica from fromVer to toVer by applying
@@ -79,8 +37,9 @@ func (st *Store) FetchDelta(seg ids.SegID, haveVer uint64) (ranges []DeltaRange,
 // the sender's commit-time checksums of the full target version: the
 // reconstructed buffer is verified against them BEFORE it is committed, so
 // a delta applied over a locally-rotted base (or carrying corrupt ranges)
-// is rejected with ErrCorrupt instead of propagating bad bytes. Nil
-// wantSums skips the check (the sums are then computed locally).
+// is rejected with ErrCorrupt instead of propagating bad bytes, and kept
+// as the version's sums once it passed. Nil wantSums skips the check (the
+// sums are then computed locally).
 func (st *Store) ApplyDelta(seg ids.SegID, fromVer, toVer uint64, ranges []DeltaRange, newSize int64, replDeg int, locThresh float64, wantSums []uint32) error {
 	st.mu.Lock()
 	s, ok := st.segs[seg]
@@ -108,7 +67,7 @@ func (st *Store) ApplyDelta(seg ids.SegID, fromVer, toVer uint64, ranges []Delta
 		}
 		st.nVerifiedBlocks.Add(int64(len(wantSums)))
 	}
-	st.sealVersionLocked(s, toVer, buf, base)
+	st.sealVersionLocked(s, toVer, buf, base, wantSums)
 	s.latest = toVer
 	if replDeg > 0 {
 		s.replDeg = replDeg

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ids"
 	"repro/internal/simtime"
+	"repro/internal/wire"
 )
 
 // commitWrite runs one shadow-write-commit cycle and returns the version.
@@ -31,94 +33,147 @@ func commitWrite(t *testing.T, st *Store, seg ids.SegID, off int64, data []byte)
 	return ver
 }
 
-func TestFetchDeltaReturnsChangedRanges(t *testing.T) {
-	st := newStore(t)
-	seg := ids.New()
-	st.Create(seg, bytes.Repeat([]byte{'a'}, 100), 1, 0, false)
-	commitWrite(t, st, seg, 10, []byte("XXXX")) // v2
+// TestFetchWholeOrDelta: one Fetch answers a replica with the changes since
+// the version it holds while every change set since then is kept, and with
+// the whole version, checked before it leaves, otherwise.
+func TestFetchWholeOrDelta(t *testing.T) {
+	pruned := func(t *testing.T, st *Store) ids.SegID {
+		seg := ids.New()
+		st.Create(seg, []byte("base"), 1, 0, false)
+		for i := 0; i < KeepChanges+2; i++ {
+			commitWrite(t, st, seg, 0, []byte{byte('A' + i%26)})
+		}
+		return seg // a replica stuck at v1 is beyond the kept change sets
+	}
+	rows := []struct {
+		name   string
+		setup  func(t *testing.T, st *Store) ids.SegID
+		have   uint64
+		err    error
+		delta  bool
+		ver    uint64
+		ranges []DeltaRange // with delta
+		data   string       // without: the whole version
+	}{
+		{
+			name: "one changed range",
+			setup: func(t *testing.T, st *Store) ids.SegID {
+				seg := ids.New()
+				st.Create(seg, bytes.Repeat([]byte{'a'}, 100), 1, 0, false)
+				commitWrite(t, st, seg, 10, []byte("XXXX"))
+				return seg
+			},
+			have: 1, delta: true, ver: 2, ranges: []DeltaRange{{Off: 10, Data: []byte("XXXX")}},
+		},
+		{
+			name: "already current",
+			setup: func(t *testing.T, st *Store) ids.SegID {
+				seg := ids.New()
+				st.Create(seg, []byte("abc"), 1, 0, false)
+				return seg
+			},
+			have: 1, delta: true, ver: 1,
+		},
+		{
+			name: "union across versions",
+			setup: func(t *testing.T, st *Store) ids.SegID {
+				seg := ids.New()
+				st.Create(seg, bytes.Repeat([]byte{'a'}, 50), 1, 0, false)
+				commitWrite(t, st, seg, 0, []byte("11"))
+				commitWrite(t, st, seg, 10, []byte("22"))
+				return seg
+			},
+			have: 1, delta: true, ver: 3, ranges: []DeltaRange{{Off: 0, Data: []byte("11")}, {Off: 10, Data: []byte("22")}},
+		},
+		{
+			name:  "pruned history gives the whole version",
+			setup: pruned,
+			have:  1, ver: KeepChanges + 3, data: string(rune('A'+(KeepChanges+1)%26)) + "ase",
+		},
+		{
+			name: "pruned history on a corrupt source is refused",
+			setup: func(t *testing.T, st *Store) ids.SegID {
+				seg := pruned(t, st)
+				if !st.Corrupt(seg) {
+					t.Fatal("could not corrupt the source's copy")
+				}
+				return seg
+			},
+			have: 1, err: ErrCorrupt,
+		},
+		{
+			name: "haveVer 0 gives the whole version",
+			setup: func(t *testing.T, st *Store) ids.SegID {
+				seg := ids.New()
+				st.Create(seg, []byte("payload"), 1, 0, false)
+				return seg
+			},
+			ver: 1, data: "payload",
+		},
+		{
+			name:  "missing segment",
+			setup: func(t *testing.T, st *Store) ids.SegID { return ids.New() },
+			have:  1, err: ErrNotFound,
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			st := newStore(t)
+			seg := row.setup(t, st)
+			r, err := st.Fetch(seg, 0, row.have)
+			if !errors.Is(err, row.err) {
+				t.Fatalf("err = %v, want %v", err, row.err)
+			}
+			if err != nil {
+				return
+			}
+			if r.Delta != row.delta || r.Version != row.ver || r.Size != st.Stat(seg).Size {
+				t.Fatalf("delta=%v v%d size %d, want delta=%v v%d size %d", r.Delta, r.Version, r.Size, row.delta, row.ver, st.Stat(seg).Size)
+			}
+			if !reflect.DeepEqual(r.Ranges, row.ranges) || string(r.Data) != row.data {
+				t.Fatalf("ranges %+v data %q, want %+v and %q", r.Ranges, r.Data, row.ranges, row.data)
+			}
+		})
+	}
+}
 
-	ranges, size, ver, _, _, full, _, err := st.FetchDelta(seg, 1)
+// syncFrom advances dst's replica of seg from have to src's latest version
+// as a pull does: one Fetch, then ApplyDelta or Install.
+func syncFrom(t *testing.T, src, dst *Store, seg ids.SegID, have uint64) uint64 {
+	t.Helper()
+	r, err := src.Fetch(seg, 0, have)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full != nil {
-		t.Fatalf("full fallback for a retained change set")
+	if r.Delta {
+		err = dst.ApplyDelta(seg, have, r.Version, r.Ranges, r.Size, r.ReplDeg, r.LocalityThreshold, r.Sums)
+	} else {
+		err = dst.Install(seg, r.Version, r.Data, r.Sums, r.ReplDeg, r.LocalityThreshold)
 	}
-	if ver != 2 || size != 100 {
-		t.Fatalf("ver=%d size=%d", ver, size)
-	}
-	if len(ranges) != 1 || ranges[0].Off != 10 || string(ranges[0].Data) != "XXXX" {
-		t.Fatalf("ranges = %+v", ranges)
-	}
-}
-
-func TestFetchDeltaAlreadyCurrent(t *testing.T) {
-	st := newStore(t)
-	seg := ids.New()
-	st.Create(seg, []byte("abc"), 1, 0, false)
-	ranges, _, ver, _, _, full, _, err := st.FetchDelta(seg, 1)
-	if err != nil || ranges != nil || full != nil || ver != 1 {
-		t.Fatalf("current replica delta: %v %v %v %v", ranges, ver, full, err)
-	}
-}
-
-func TestFetchDeltaUnionsMultipleVersions(t *testing.T) {
-	st := newStore(t)
-	seg := ids.New()
-	st.Create(seg, bytes.Repeat([]byte{'a'}, 50), 1, 0, false)
-	commitWrite(t, st, seg, 0, []byte("11"))  // v2
-	commitWrite(t, st, seg, 10, []byte("22")) // v3
-
-	ranges, _, ver, _, _, full, _, err := st.FetchDelta(seg, 1)
-	if err != nil || full != nil {
-		t.Fatalf("err=%v full=%v", err, full)
-	}
-	if ver != 3 {
-		t.Fatalf("ver=%d", ver)
-	}
-	var total int64
-	for _, r := range ranges {
-		total += int64(len(r.Data))
-	}
-	if total != 4 {
-		t.Fatalf("delta bytes = %d, want 4 (two 2-byte changes)", total)
-	}
-}
-
-func TestFetchDeltaFullFallbackWhenHistoryPruned(t *testing.T) {
-	st := newStore(t)
-	seg := ids.New()
-	st.Create(seg, []byte("base"), 1, 0, false)
-	for i := 0; i < KeepChanges+2; i++ {
-		commitWrite(t, st, seg, 0, []byte{byte('A' + i%26)})
-	}
-	// A replica stuck at v1 is far beyond the retained change history.
-	_, _, ver, _, _, full, _, err := st.FetchDelta(seg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full == nil {
-		t.Fatal("expected full fallback for pruned history")
-	}
-	if ver != uint64(KeepChanges+3) {
-		t.Fatalf("ver = %d", ver)
-	}
+	return r.Version
 }
 
-func TestFetchDeltaFromZeroIsFull(t *testing.T) {
-	st := newStore(t)
+// TestPulledReplicaKeepsTheSendersSums: a replica installed whole or
+// advanced by a delta stores the sums its payload was checked against, not
+// sums computed again, and a scrub of it reads it clean.
+func TestPulledReplicaKeepsTheSendersSums(t *testing.T) {
+	src, dst := newStore(t), newStore(t)
 	seg := ids.New()
-	st.Create(seg, []byte("payload"), 1, 0, false)
-	_, _, _, _, _, full, _, err := st.FetchDelta(seg, 0)
-	if err != nil || string(full) != "payload" {
-		t.Fatalf("full=%q err=%v", full, err)
+	src.Create(seg, bytes.Repeat([]byte{'a'}, 3*wire.SumBlock), 1, 0, false)
+	have := syncFrom(t, src, dst, seg, 0) // whole
+	commitWrite(t, src, seg, wire.SumBlock+7, []byte("changed"))
+	syncFrom(t, src, dst, seg, have) // delta
+	for ver := uint64(1); ver <= 2; ver++ {
+		want, got := src.segs[seg].sums[ver], dst.segs[seg].sums[ver]
+		if !reflect.DeepEqual(got, want) || &got[0] != &want[0] {
+			t.Errorf("v%d: the replica's sums are not the ones it was sent", ver)
+		}
 	}
-}
-
-func TestFetchDeltaMissingSegment(t *testing.T) {
-	st := newStore(t)
-	if _, _, _, _, _, _, _, err := st.FetchDelta(ids.New(), 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
+	if _, dropped, _ := dst.ScrubSegment(seg); dropped != 0 {
+		t.Errorf("scrub dropped %d versions of the replica", dropped)
 	}
 }
 
@@ -128,14 +183,14 @@ func TestApplyDeltaAdvancesReplica(t *testing.T) {
 	seg := ids.New()
 	base := bytes.Repeat([]byte{'a'}, 64)
 	src.Create(seg, base, 1, 0, false)
-	dst.Install(seg, 1, base, 1, 0)
+	dst.Install(seg, 1, base, nil, 1, 0)
 	commitWrite(t, src, seg, 5, []byte("HELLO")) // v2
 
-	ranges, size, ver, rd, lt, full, sums, err := src.FetchDelta(seg, 1)
-	if err != nil || full != nil {
-		t.Fatal(err)
+	r, err := src.Fetch(seg, 0, 1)
+	if err != nil || !r.Delta {
+		t.Fatalf("delta=%v err %v", r.Delta, err)
 	}
-	if err := dst.ApplyDelta(seg, 1, ver, ranges, size, rd, lt, sums); err != nil {
+	if err := dst.ApplyDelta(seg, 1, r.Version, r.Ranges, r.Size, r.ReplDeg, r.LocalityThreshold, r.Sums); err != nil {
 		t.Fatal(err)
 	}
 	got, gver, _ := dst.Read(seg, 0, 0, 64)
@@ -148,7 +203,7 @@ func TestApplyDeltaAdvancesReplica(t *testing.T) {
 func TestApplyDeltaVersionMismatch(t *testing.T) {
 	dst := newStore(t)
 	seg := ids.New()
-	dst.Install(seg, 3, []byte("v3"), 1, 0)
+	dst.Install(seg, 3, []byte("v3"), nil, 1, 0)
 	err := dst.ApplyDelta(seg, 2, 4, nil, 2, 1, 0, nil)
 	if !errors.Is(err, ErrNoVersion) {
 		t.Fatalf("err = %v", err)
@@ -158,7 +213,7 @@ func TestApplyDeltaVersionMismatch(t *testing.T) {
 func TestApplyDeltaOutOfRangeRejected(t *testing.T) {
 	dst := newStore(t)
 	seg := ids.New()
-	dst.Install(seg, 1, []byte("abcd"), 1, 0)
+	dst.Install(seg, 1, []byte("abcd"), nil, 1, 0)
 	err := dst.ApplyDelta(seg, 1, 2, []DeltaRange{{Off: 10, Data: []byte("zz")}}, 4, 1, 0, nil)
 	if !errors.Is(err, ErrNoVersion) {
 		t.Fatalf("err = %v", err)
@@ -171,27 +226,17 @@ func TestDeltaHandlesShrinkingFile(t *testing.T) {
 	seg := ids.New()
 	base := bytes.Repeat([]byte{'x'}, 40)
 	src.Create(seg, base, 1, 0, false)
-	dst.Install(seg, 1, base, 1, 0)
+	dst.Install(seg, 1, base, nil, 1, 0)
 
 	// Commit a whole-content replace that shrinks the segment to 10 bytes.
-	if _, err := src.ReplaceAndPrepare("w", seg, bytes.Repeat([]byte{'y'}, 10), time.Minute, 1, 0); err != nil {
+	if _, err := src.ReplaceAndPrepare("w", seg, 0, bytes.Repeat([]byte{'y'}, 10), time.Minute, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, size, err := src.CommitPrepared("w", seg); err != nil || size != 10 {
 		t.Fatalf("commit: size %d, err %v", size, err)
 	}
 
-	ranges, size, ver, rd, lt, full, sums, err := src.FetchDelta(seg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full != nil {
-		if err := dst.Install(seg, ver, full, rd, lt); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := dst.ApplyDelta(seg, 1, ver, ranges, size, rd, lt, sums); err != nil {
-		t.Fatal(err)
-	}
+	syncFrom(t, src, dst, seg, 1)
 	got, _, _ := dst.Read(seg, 0, 0, 100)
 	want, _, _ := src.Read(seg, 0, 0, 100)
 	if !bytes.Equal(got, want) {
@@ -212,7 +257,7 @@ func TestDeltaSyncEquivalentToFullSync(t *testing.T) {
 		base := make([]byte, 200)
 		rng.Read(base)
 		src.Create(seg, base, 1, 0, false)
-		dst.Install(seg, 1, base, 1, 0)
+		dst.Install(seg, 1, base, nil, 1, 0)
 
 		have := uint64(1)
 		commits := 2 + rng.Intn(5)
@@ -231,18 +276,7 @@ func TestDeltaSyncEquivalentToFullSync(t *testing.T) {
 			// Sync the replica every other commit so deltas span multiple
 			// versions sometimes.
 			if k%2 == 1 || k == commits-1 {
-				ranges, size, ver, rd, lt, full, sums, err := src.FetchDelta(seg, have)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if full != nil {
-					if err := dst.Install(seg, ver, full, rd, lt); err != nil {
-						t.Fatal(err)
-					}
-				} else if err := dst.ApplyDelta(seg, have, ver, ranges, size, rd, lt, sums); err != nil {
-					t.Fatal(err)
-				}
-				have = ver
+				have = syncFrom(t, src, dst, seg, have)
 			}
 		}
 		got, gv, _ := dst.Read(seg, 0, 0, 1<<20)

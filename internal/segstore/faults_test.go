@@ -38,7 +38,7 @@ func TestCorruptReadDetected(t *testing.T) {
 	if _, _, err := st.Read(seg, 0, 0, 100); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Read after corruption: err = %v, want ErrCorrupt", err)
 	}
-	if _, _, _, _, _, err := st.Fetch(seg, 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := st.Fetch(seg, 0, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Fetch after corruption: err = %v, want ErrCorrupt", err)
 	}
 	is := st.IntegrityStats()
@@ -88,7 +88,7 @@ func TestWriteFaultBitFlipDetectedOnRead(t *testing.T) {
 	seg := ids.New()
 	// Background replica installs skip the foreground read-back verify, so
 	// the armed fault lands silently.
-	if err := st.Install(seg, 1, bytes.Repeat([]byte("a"), 4096), 1, 0); err != nil {
+	if err := st.Install(seg, 1, bytes.Repeat([]byte("a"), 4096), nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.Read(seg, 0, 0, 4096); !errors.Is(err, ErrCorrupt) {
@@ -107,7 +107,7 @@ func TestWriteFaultTornWriteCorruptsInstall(t *testing.T) {
 	// Arm torn-write for a background install of v2: it persists as a prefix
 	// of the new bytes with the old contents beyond the tear point.
 	st.InjectFaults(FaultConfig{Seed: 3, TornWrite: 1})
-	if err := st.Install(seg, 2, bytes.Repeat([]byte("b"), 4096), 1, 0); err != nil {
+	if err := st.Install(seg, 2, bytes.Repeat([]byte("b"), 4096), nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	st.ClearFaults()
@@ -226,7 +226,7 @@ func TestCrashRecoverDropsTornCommits(t *testing.T) {
 	torn := ids.New()
 	st.Create(torn, bytes.Repeat([]byte("c"), 2048), 1, 0, false)
 	st.InjectFaults(FaultConfig{Seed: 3, TornWrite: 1})
-	if err := st.Install(torn, 2, bytes.Repeat([]byte("d"), 2048), 1, 0); err != nil {
+	if err := st.Install(torn, 2, bytes.Repeat([]byte("d"), 2048), nil, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	st.ClearFaults()

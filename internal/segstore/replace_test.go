@@ -29,7 +29,7 @@ func TestReplaceAndPrepareResendIsOnePrepare(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := st.ReplaceAndPrepare("s", seg, []byte("index-a"), time.Minute, 1, 0)
+			v, err := st.ReplaceAndPrepare("s", seg, 0, []byte("index-a"), time.Minute, 1, 0)
 			if err != nil {
 				t.Errorf("resend %d: %v", i, err)
 			}
@@ -65,12 +65,12 @@ func TestReplaceAndPrepareReplanKeepsSlotTakesLastBytes(t *testing.T) {
 	seg := ids.New()
 	st.Create(seg, []byte("old index, longer than what follows"), 1, 0, false)
 
-	if v, err := st.ReplaceAndPrepare("s", seg, []byte("first plan"), time.Minute, 1, 0); err != nil || v != 2 {
+	if v, err := st.ReplaceAndPrepare("s", seg, 0, []byte("first plan"), time.Minute, 1, 0); err != nil || v != 2 {
 		t.Fatalf("first plan: v%d err %v", v, err)
 	}
 	// The round failed elsewhere, its Abort2PC never arrived, and the
 	// coordinator re-planned: other bytes for the shadow it still holds.
-	if v, err := st.ReplaceAndPrepare("s", seg, []byte("replan"), time.Minute, 1, 0); err != nil || v != 2 {
+	if v, err := st.ReplaceAndPrepare("s", seg, 0, []byte("replan"), time.Minute, 1, 0); err != nil || v != 2 {
 		t.Fatalf("replan: v%d err %v", v, err)
 	}
 	if n := st.ShadowCount(); n != 1 {
@@ -96,7 +96,7 @@ func TestReplaceAndPrepareRespectsAnotherSessionsSlot(t *testing.T) {
 	if _, _, err := st.Prepare("other", seg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReplaceAndPrepare("s", seg, []byte("mine"), time.Minute, 1, 0); !errors.Is(err, ErrPrepared) {
+	if _, err := st.ReplaceAndPrepare("s", seg, 0, []byte("mine"), time.Minute, 1, 0); !errors.Is(err, ErrPrepared) {
 		t.Fatalf("fold against a held commit slot: %v, want ErrPrepared", err)
 	}
 	if n := st.ShadowCount(); n != 1 {
@@ -109,7 +109,7 @@ func TestReplaceAndPrepareRespectsAnotherSessionsSlot(t *testing.T) {
 	if _, _, err := st.CommitPrepared("other", seg); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := st.ReplaceAndPrepare("s", seg, []byte("mine"), time.Minute, 1, 0); err != nil || v != 3 {
+	if v, err := st.ReplaceAndPrepare("s", seg, 0, []byte("mine"), time.Minute, 1, 0); err != nil || v != 3 {
 		t.Fatalf("fold after the slot freed: v%d err %v", v, err)
 	}
 }
@@ -119,18 +119,18 @@ func TestReplaceAndPrepareExpiredShadow(t *testing.T) {
 	st := New(clock, disk.New(clock, "t", disk.SCSI10K(), 1<<30))
 	seg := ids.New()
 	st.Create(seg, []byte("base"), 1, 0, false)
-	if _, err := st.ReplaceAndPrepare("s", seg, []byte("v2"), time.Second, 1, 0); err != nil {
+	if _, err := st.ReplaceAndPrepare("s", seg, 0, []byte("v2"), time.Second, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	clock.Sleep(2 * time.Second)
-	if _, err := st.ReplaceAndPrepare("s", seg, []byte("v2 again"), time.Second, 1, 0); !errors.Is(err, ErrExpired) {
+	if _, err := st.ReplaceAndPrepare("s", seg, 0, []byte("v2 again"), time.Second, 1, 0); !errors.Is(err, ErrExpired) {
 		t.Fatalf("fold on an expired shadow: %v, want ErrExpired", err)
 	}
 	// The expired shadow is gone and took its commit slot with it.
 	if n := st.ShadowCount(); n != 0 {
 		t.Fatalf("%d shadows after expiry, want 0", n)
 	}
-	if v, err := st.ReplaceAndPrepare("t", seg, []byte("next"), time.Minute, 1, 0); err != nil || v != 2 {
+	if v, err := st.ReplaceAndPrepare("t", seg, 0, []byte("next"), time.Minute, 1, 0); err != nil || v != 2 {
 		t.Fatalf("another session after expiry: v%d err %v", v, err)
 	}
 }
@@ -141,20 +141,20 @@ func TestReplaceAndPrepareAbort(t *testing.T) {
 	// On an existing segment the abort frees the commit slot.
 	seg := ids.New()
 	st.Create(seg, []byte("base"), 1, 0, false)
-	if _, err := st.ReplaceAndPrepare("s", seg, []byte("doomed"), time.Minute, 1, 0); err != nil {
+	if _, err := st.ReplaceAndPrepare("s", seg, 0, []byte("doomed"), time.Minute, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AbortPrepared("s", seg); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := st.ReplaceAndPrepare("t", seg, []byte("next"), time.Minute, 1, 0); err != nil || v != 2 {
+	if v, err := st.ReplaceAndPrepare("t", seg, 0, []byte("next"), time.Minute, 1, 0); err != nil || v != 2 {
 		t.Fatalf("slot not freed by abort: v%d err %v", v, err)
 	}
 	st.AbortPrepared("t", seg)
 
 	// A brand-new segment disappears with its only shadow.
 	fresh := ids.New()
-	if v, err := st.ReplaceAndPrepare("s", fresh, []byte("first version"), time.Minute, 2, 0); err != nil || v != 1 {
+	if v, err := st.ReplaceAndPrepare("s", fresh, 0, []byte("first version"), time.Minute, 2, 0); err != nil || v != 1 {
 		t.Fatalf("fold on a new segment: v%d err %v", v, err)
 	}
 	if !st.Stat(fresh).HasShadow {
@@ -171,5 +171,33 @@ func TestReplaceAndPrepareAbort(t *testing.T) {
 	}
 	if used := st.Disk().Used(); used != 4 {
 		t.Errorf("disk used %d after the aborts, want 4", used)
+	}
+}
+
+// TestReplaceKeepsTheBaseVersion: whole-content commits based on v1 that
+// the namespace never records leave v1 the version readers are sent to, so
+// consolidation keeps it until a commit is based past it.
+func TestReplaceKeepsTheBaseVersion(t *testing.T) {
+	st := newStore(t)
+	seg := ids.New()
+	commit := func(base uint64, data string) {
+		t.Helper()
+		if _, err := st.ReplaceAndPrepare("s", seg, base, []byte(data), time.Minute, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.CommitPrepared("s", seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(0, "v1")
+	for range 4 {
+		commit(1, "unrecorded") // v2..v5
+	}
+	if got, _, err := st.Read(seg, 1, 0, 10); err != nil || string(got) != "v1" {
+		t.Fatalf("v1 after four commits based on it: %q, %v", got, err)
+	}
+	commit(5, "v6")
+	if _, _, err := st.Read(seg, 1, 0, 10); !errors.Is(err, ErrNoVersion) {
+		t.Fatalf("v1 still kept after a commit based on v5: %v", err)
 	}
 }

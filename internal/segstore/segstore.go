@@ -86,6 +86,11 @@ type segment struct {
 	// pinned marks milestone versions that consolidation never reclaims
 	// (paper §3.5's planned Elephant-style milestones).
 	pinned map[uint64]bool
+	// based is the newest version a whole-content commit (ReplaceAndPrepare)
+	// was based on, which consolidation spares too: while the namespace has
+	// not recorded the commits planned past it, it is still the version
+	// readers are sent to.
+	based uint64
 
 	lastAccess time.Duration
 	history    *accessHistory
@@ -127,19 +132,24 @@ type Store struct {
 }
 
 // sealVersionLocked records buf as (seg's) version ver together with its
-// commit-time sums, routing the stored bytes through the write-fault
-// injector. prev is the content being superseded (torn/lost writes expose
-// it). The sums always describe the INTENDED bytes: faults corrupt data on
-// its way to media, not the separately-kept checksum metadata.
+// commit-time sums — the sender's, already checked against buf, or computed
+// from buf when sums is nil — routing the stored bytes through the
+// write-fault injector. prev is the content being superseded (torn/lost
+// writes expose it). The sums always describe the INTENDED bytes: faults
+// corrupt data on its way to media, not the separately-kept checksum
+// metadata.
 //
 // It models a BACKGROUND write (replica install, delta sync): a bulk fast
 // path that is not read back synchronously, so an armed torn/lost/bit-flip
 // fault lands silently and waits for a consumer or the scrubber to notice.
-func (st *Store) sealVersionLocked(s *segment, ver uint64, buf, prev []byte) {
+func (st *Store) sealVersionLocked(s *segment, ver uint64, buf, prev []byte, sums []uint32) {
 	if s.sums == nil {
 		s.sums = make(map[uint64][]uint32)
 	}
-	s.sums[ver] = wire.SumsOf(buf)
+	if sums == nil {
+		sums = wire.SumsOf(buf)
+	}
+	s.sums[ver] = sums
 	s.versions[ver] = st.injectWriteFaultLocked(prev, buf)
 }
 
@@ -233,8 +243,10 @@ func (st *Store) Create(seg ids.SegID, data []byte, replDeg int, locThresh float
 
 // Install stores (or replaces) a specific committed version of a segment —
 // the receive path of replica sync, repair, and migration. Installing an
-// older version than the local latest is a no-op.
-func (st *Store) Install(seg ids.SegID, ver uint64, data []byte, replDeg int, locThresh float64) error {
+// older version than the local latest is a no-op. sums are the sender's
+// commit-time sums, which the caller checked data against; they are stored
+// as they are. Nil sums are computed from data.
+func (st *Store) Install(seg ids.SegID, ver uint64, data []byte, sums []uint32, replDeg int, locThresh float64) error {
 	if ver == 0 {
 		return fmt.Errorf("segstore: Install version 0")
 	}
@@ -252,9 +264,7 @@ func (st *Store) Install(seg ids.SegID, ver uint64, data []byte, replDeg int, lo
 		st.disk.Free(int64(len(data)))
 		return nil
 	}
-	// Callers verified data against the sender's commit-time sums before
-	// installing; summing the verified buffer here reproduces them.
-	st.sealVersionLocked(s, ver, append([]byte(nil), data...), s.versions[s.latest])
+	st.sealVersionLocked(s, ver, append([]byte(nil), data...), s.versions[s.latest], sums)
 	s.latest = ver
 	st.consolidateLocked(s)
 	return nil
@@ -471,8 +481,9 @@ func (st *Store) prepareLocked(seg ids.SegID, s *segment, owner string, sh *shad
 // else as it was. Repeating it is safe: a shadow this session already
 // prepared keeps its commit slot and planned version and takes the newest
 // data, so a coordinator may resend after a lost reply, or re-plan with
-// other bytes after a lost abort.
-func (st *Store) ReplaceAndPrepare(owner string, seg ids.SegID, data []byte, ttl time.Duration, replDeg int, locThresh float64) (plannedVer uint64, err error) {
+// other bytes after a lost abort. baseVer is the version the session read
+// (0 for none); the newest one given stays kept, as a pinned version does.
+func (st *Store) ReplaceAndPrepare(owner string, seg ids.SegID, baseVer uint64, data []byte, ttl time.Duration, replDeg int, locThresh float64) (plannedVer uint64, err error) {
 	size := int64(len(data))
 	if err := st.disk.Alloc(size); err != nil {
 		return 0, err
@@ -497,6 +508,7 @@ func (st *Store) ReplaceAndPrepare(owner string, seg ids.SegID, data []byte, ttl
 		return 0, err
 	}
 	s.shadows[owner] = sh
+	s.based = max(s.based, baseVer)
 	sh.expiry = st.expiryLocked(ttl)
 	// Cutting at 0 hides the base for good; the one extent is the content.
 	st.disk.Free(sh.ext.truncate(0))
@@ -595,10 +607,11 @@ func (st *Store) AbortPrepared(owner string, seg ids.SegID) error {
 	return nil
 }
 
-// consolidateLocked drops versions beyond KeepVersions.
+// consolidateLocked drops versions beyond KeepVersions, except pinned ones
+// and the newest one a commit was based on.
 func (st *Store) consolidateLocked(s *segment) {
 	for ver, data := range s.versions {
-		if ver+KeepVersions <= s.latest && !s.pinned[ver] {
+		if ver+KeepVersions <= s.latest && !s.pinned[ver] && ver != s.based {
 			st.disk.Free(int64(len(data)))
 			delete(s.versions, ver)
 			delete(s.sums, ver)
@@ -685,16 +698,22 @@ func (st *Store) ReadSum(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint6
 	return out, ver, sum, nil
 }
 
-// Fetch returns a full committed version (0 = latest) with the segment's
-// policies and commit-time sums, for sync/repair/migration transfers. The
-// payload is verified before it leaves so corruption never propagates to
-// another replica; sums alias stored metadata and must not be mutated.
-func (st *Store) Fetch(seg ids.SegID, ver uint64) (data []byte, v uint64, replDeg int, locThresh float64, sums []uint32, err error) {
+// Fetch returns committed version ver (0 = latest) of seg with the
+// segment's policies and the version's commit-time sums, for a replica
+// transfer (sync, repair, migration) or a client's index fetch. When haveVer
+// > 0 and every change set in (haveVer, ver] is still kept, the answer is a
+// delta (paper §3.6: stale replicas "retrieve the updates"): the ranges
+// changed since haveVer, none when the asker is current, which the receiver
+// applies and verifies against the sums. Otherwise it is the whole version,
+// verified here before it leaves so corruption never propagates. Payload and
+// sums alias stored memory and must not be mutated; a direct segment's
+// payload is a copy. OK and Owners are left to the caller.
+func (st *Store) Fetch(seg ids.SegID, ver, haveVer uint64) (wire.SegFetchResp, error) {
 	st.mu.Lock()
 	s, ok := st.segs[seg]
 	if !ok || s.latest == 0 {
 		st.mu.Unlock()
-		return nil, 0, 0, 0, nil, ErrNotFound
+		return wire.SegFetchResp{}, ErrNotFound
 	}
 	if ver == 0 {
 		ver = s.latest
@@ -702,30 +721,43 @@ func (st *Store) Fetch(seg ids.SegID, ver uint64) (data []byte, v uint64, replDe
 	d, ok := s.versions[ver]
 	if !ok {
 		st.mu.Unlock()
-		return nil, 0, 0, 0, nil, ErrNoVersion
+		return wire.SegFetchResp{}, ErrNoVersion
+	}
+	r := wire.SegFetchResp{Version: ver, Size: int64(len(d)), ReplDeg: s.replDeg, LocalityThreshold: s.localityThreshold, Sums: s.sums[ver]}
+	if haveVer > 0 {
+		r.Ranges, r.Delta = changedSinceLocked(s, d, haveVer, ver)
+	}
+	if r.Delta {
+		st.mu.Unlock()
+		var n int64
+		for _, c := range r.Ranges {
+			n += int64(len(c.Data))
+		}
+		if n > 0 {
+			st.chargeRead(n)
+		}
+		return r, nil
 	}
 	if st.injectReadFaultLocked() {
 		st.mu.Unlock()
-		return nil, 0, 0, 0, nil, ErrReadFault
+		return wire.SegFetchResp{}, ErrReadFault
 	}
 	if !s.direct {
-		if wire.VerifySums(d, s.sums[ver]) >= 0 {
+		if wire.VerifySums(d, r.Sums) >= 0 {
 			st.nDetected.Add(1)
 			st.mu.Unlock()
-			return nil, 0, 0, 0, nil, ErrCorrupt
+			return wire.SegFetchResp{}, ErrCorrupt
 		}
-		st.nVerifiedBlocks.Add(int64(len(s.sums[ver])))
-		sums = s.sums[ver]
+		st.nVerifiedBlocks.Add(int64(len(r.Sums)))
 	}
 	// Same zero-copy rule as Read: immutable unless the segment is direct.
-	out := d[:len(d):len(d)]
+	r.Data = d[:len(d):len(d)]
 	if s.direct {
-		out = append([]byte(nil), d...)
+		r.Data = append([]byte(nil), d...)
 	}
-	replDeg, locThresh = s.replDeg, s.localityThreshold
 	st.mu.Unlock()
-	st.chargeRead(int64(len(out)))
-	return out, ver, replDeg, locThresh, sums, nil
+	st.chargeRead(r.Size)
+	return r, nil
 }
 
 // WriteDirect applies an in-place write to a versioning-off segment.

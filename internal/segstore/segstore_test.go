@@ -291,10 +291,10 @@ func TestRenewExtendsExpiry(t *testing.T) {
 func TestInstallAndStaleInstallIgnored(t *testing.T) {
 	st := newStore(t)
 	seg := ids.New()
-	if err := st.Install(seg, 3, []byte("v3"), 2, 0); err != nil {
+	if err := st.Install(seg, 3, []byte("v3"), nil, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Install(seg, 2, []byte("v2"), 2, 0); err != nil {
+	if err := st.Install(seg, 2, []byte("v2"), nil, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	data, ver, _ := st.Read(seg, 0, 0, 10)
@@ -305,7 +305,7 @@ func TestInstallAndStaleInstallIgnored(t *testing.T) {
 
 func TestInstallVersionZeroRejected(t *testing.T) {
 	st := newStore(t)
-	if err := st.Install(ids.New(), 0, []byte("x"), 1, 0); err == nil {
+	if err := st.Install(ids.New(), 0, []byte("x"), nil, 1, 0); err == nil {
 		t.Fatal("Install v0 succeeded")
 	}
 }
@@ -314,9 +314,9 @@ func TestFetch(t *testing.T) {
 	st := newStore(t)
 	seg := ids.New()
 	st.Create(seg, []byte("payload"), 3, 0.7, false)
-	data, ver, rd, lt, _, err := st.Fetch(seg, 0)
-	if err != nil || ver != 1 || string(data) != "payload" || rd != 3 || lt != 0.7 {
-		t.Fatalf("Fetch = %q v%d rd%d lt%v err %v", data, ver, rd, lt, err)
+	r, err := st.Fetch(seg, 0, 0)
+	if err != nil || r.Version != 1 || string(r.Data) != "payload" || r.ReplDeg != 3 || r.LocalityThreshold != 0.7 {
+		t.Fatalf("Fetch = %q v%d rd%d lt%v err %v", r.Data, r.Version, r.ReplDeg, r.LocalityThreshold, err)
 	}
 }
 

@@ -62,16 +62,16 @@ const (
 	tagSegShadowRead
 	_ // retired (shadow truncate); the slot stays reserved
 	tagSegRenew
-	tagSegDrop
+	_ // retired (shadow drop, never sent)
 	tagSegDelete
 	tagSegPin
-	tagSegStat
-	tagSegStatResp
+	_ // retired (segment stat, never sent)
+	_
 	tagSegFetch
 	tagSegFetchResp
 	tagGenericResp
-	tagSegFetchDelta
-	tagSegFetchDeltaResp
+	_ // retired (delta fetch, folded into SegFetch)
+	_
 	tagPrepare2PC
 	tagPrepare2PCResp
 	tagCommit2PC
@@ -84,7 +84,7 @@ const (
 	tagLocProbeResp
 	tagSyncNotify
 	tagReplicateNotify
-	tagMigrateRequest
+	_ // retired (explicit migrate request, never sent)
 	tagPRead
 	tagPReadResp
 	tagPWrite
@@ -342,16 +342,11 @@ func init() {
 	reg[SegWriteResp](tagSegWriteResp, "SegWriteResp")
 	reg[SegShadowRead](tagSegShadowRead, "SegShadowRead")
 	reg[SegRenew](tagSegRenew, "SegRenew")
-	reg[SegDrop](tagSegDrop, "SegDrop")
 	reg[SegDelete](tagSegDelete, "SegDelete")
 	reg[SegPin](tagSegPin, "SegPin")
-	reg[SegStat](tagSegStat, "SegStat")
-	reg[SegStatResp](tagSegStatResp, "SegStatResp")
 	reg[SegFetch](tagSegFetch, "SegFetch")
 	reg[SegFetchResp](tagSegFetchResp, "SegFetchResp")
 	reg[GenericResp](tagGenericResp, "GenericResp")
-	reg[SegFetchDelta](tagSegFetchDelta, "SegFetchDelta")
-	reg[SegFetchDeltaResp](tagSegFetchDeltaResp, "SegFetchDeltaResp")
 	reg[Prepare2PC](tagPrepare2PC, "Prepare2PC")
 	reg[Prepare2PCResp](tagPrepare2PCResp, "Prepare2PCResp")
 	reg[Commit2PC](tagCommit2PC, "Commit2PC")
@@ -364,7 +359,6 @@ func init() {
 	reg[LocProbeResp](tagLocProbeResp, "LocProbeResp")
 	reg[SyncNotify](tagSyncNotify, "SyncNotify")
 	reg[ReplicateNotify](tagReplicateNotify, "ReplicateNotify")
-	reg[MigrateRequest](tagMigrateRequest, "MigrateRequest")
 	reg[PRead](tagPRead, "PRead")
 	reg[PReadResp](tagPReadResp, "PReadResp")
 	reg[PWrite](tagPWrite, "PWrite")
@@ -1267,19 +1261,6 @@ func (m *SegRenew) decodeWire(r *wireReader) {
 	m.TTLSec = r.f64()
 }
 
-func (SegDrop) wireTag() uint16 { return tagSegDrop }
-func (m SegDrop) encodedSize() int {
-	return strSize(m.Owner) + idSize
-}
-func (m SegDrop) appendWire(b []byte) []byte {
-	b = appendStr(b, m.Owner)
-	return appendID(b, m.Seg)
-}
-func (m *SegDrop) decodeWire(r *wireReader) {
-	m.Owner = r.str()
-	m.Seg = r.id()
-}
-
 func (SegDelete) wireTag() uint16              { return tagSegDelete }
 func (m SegDelete) encodedSize() int           { return idSize }
 func (m SegDelete) appendWire(b []byte) []byte { return appendID(b, m.Seg) }
@@ -1300,50 +1281,40 @@ func (m *SegPin) decodeWire(r *wireReader) {
 	m.Unpin = r.bool_()
 }
 
-func (SegStat) wireTag() uint16              { return tagSegStat }
-func (m SegStat) encodedSize() int           { return idSize }
-func (m SegStat) appendWire(b []byte) []byte { return appendID(b, m.Seg) }
-func (m *SegStat) decodeWire(r *wireReader)  { m.Seg = r.id() }
-
-func (SegStatResp) wireTag() uint16 { return tagSegStatResp }
-func (m SegStatResp) encodedSize() int {
-	return boolSize + numSize*2 + boolSize
-}
-func (m SegStatResp) appendWire(b []byte) []byte {
-	b = appendBool(b, m.OK)
-	b = appendU64(b, m.Version)
-	b = appendI64(b, m.Size)
-	return appendBool(b, m.Shadow)
-}
-func (m *SegStatResp) decodeWire(r *wireReader) {
-	m.OK = r.bool_()
-	m.Version = r.u64()
-	m.Size = r.i64()
-	m.Shadow = r.bool_()
-}
-
 func (SegFetch) wireTag() uint16 { return tagSegFetch }
 func (m SegFetch) encodedSize() int {
-	return idSize + numSize
+	return idSize + numSize*2
 }
 func (m SegFetch) appendWire(b []byte) []byte {
 	b = appendID(b, m.Seg)
-	return appendU64(b, m.Version)
+	b = appendU64(b, m.Version)
+	return appendU64(b, m.HaveVer)
 }
 func (m *SegFetch) decodeWire(r *wireReader) {
 	m.Seg = r.id()
 	m.Version = r.u64()
+	m.HaveVer = r.u64()
 }
 
 func (SegFetchResp) wireTag() uint16 { return tagSegFetchResp }
 func (m SegFetchResp) encodedSize() int {
-	return boolSize + strSize(m.Err) + numSize + bytesSize(m.Data) + numSize + numSize +
-		u32sSize(m.Sums) + ownersSize(m.Owners)
+	n := boolSize + strSize(m.Err) + numSize*2 + boolSize + 4
+	for i := range m.Ranges {
+		n += numSize + bytesSize(m.Ranges[i].Data)
+	}
+	return n + bytesSize(m.Data) + numSize + numSize + u32sSize(m.Sums) + ownersSize(m.Owners)
 }
 func (m SegFetchResp) appendWire(b []byte) []byte {
 	b = appendBool(b, m.OK)
 	b = appendStr(b, m.Err)
 	b = appendU64(b, m.Version)
+	b = appendI64(b, m.Size)
+	b = appendBool(b, m.Delta)
+	b = appendU32(b, uint32(len(m.Ranges)))
+	for i := range m.Ranges {
+		b = appendI64(b, m.Ranges[i].Off)
+		b = appendBytes(b, m.Ranges[i].Data)
+	}
 	b = appendBytes(b, m.Data)
 	b = appendInt(b, m.ReplDeg)
 	b = appendF64(b, m.LocalityThreshold)
@@ -1354,6 +1325,15 @@ func (m *SegFetchResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
 	m.Err = r.str()
 	m.Version = r.u64()
+	m.Size = r.i64()
+	m.Delta = r.bool_()
+	if n := r.count(); n > 0 {
+		m.Ranges = make([]DeltaRange, n)
+		for i := range m.Ranges {
+			m.Ranges[i].Off = r.i64()
+			m.Ranges[i].Data = r.bytes()
+		}
+	}
 	m.Data = r.bytes()
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
@@ -1372,62 +1352,6 @@ func (m GenericResp) appendWire(b []byte) []byte {
 func (m *GenericResp) decodeWire(r *wireReader) {
 	m.OK = r.bool_()
 	m.Err = r.str()
-}
-
-func (SegFetchDelta) wireTag() uint16 { return tagSegFetchDelta }
-func (m SegFetchDelta) encodedSize() int {
-	return idSize + numSize
-}
-func (m SegFetchDelta) appendWire(b []byte) []byte {
-	b = appendID(b, m.Seg)
-	return appendU64(b, m.HaveVer)
-}
-func (m *SegFetchDelta) decodeWire(r *wireReader) {
-	m.Seg = r.id()
-	m.HaveVer = r.u64()
-}
-
-func (SegFetchDeltaResp) wireTag() uint16 { return tagSegFetchDeltaResp }
-func (m SegFetchDeltaResp) encodedSize() int {
-	n := boolSize + strSize(m.Err) + numSize*2 + 4
-	for i := range m.Ranges {
-		n += numSize + bytesSize(m.Ranges[i].Data)
-	}
-	return n + boolSize + bytesSize(m.Full) + numSize + numSize + u32sSize(m.Sums)
-}
-func (m SegFetchDeltaResp) appendWire(b []byte) []byte {
-	b = appendBool(b, m.OK)
-	b = appendStr(b, m.Err)
-	b = appendU64(b, m.Version)
-	b = appendI64(b, m.Size)
-	b = appendU32(b, uint32(len(m.Ranges)))
-	for i := range m.Ranges {
-		b = appendI64(b, m.Ranges[i].Off)
-		b = appendBytes(b, m.Ranges[i].Data)
-	}
-	b = appendBool(b, m.FullFallback)
-	b = appendBytes(b, m.Full)
-	b = appendInt(b, m.ReplDeg)
-	b = appendF64(b, m.LocalityThreshold)
-	return appendU32s(b, m.Sums)
-}
-func (m *SegFetchDeltaResp) decodeWire(r *wireReader) {
-	m.OK = r.bool_()
-	m.Err = r.str()
-	m.Version = r.u64()
-	m.Size = r.i64()
-	if n := r.count(); n > 0 {
-		m.Ranges = make([]DeltaRange, n)
-		for i := range m.Ranges {
-			m.Ranges[i].Off = r.i64()
-			m.Ranges[i].Data = r.bytes()
-		}
-	}
-	m.FullFallback = r.bool_()
-	m.Full = r.bytes()
-	m.ReplDeg = r.int_()
-	m.LocalityThreshold = r.f64()
-	m.Sums = r.u32s()
 }
 
 func (Prepare2PC) wireTag() uint16 { return tagPrepare2PC }
@@ -1611,19 +1535,6 @@ func (m *ReplicateNotify) decodeWire(r *wireReader) {
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
 	m.Handoff = r.bool_()
-}
-
-func (MigrateRequest) wireTag() uint16 { return tagMigrateRequest }
-func (m MigrateRequest) encodedSize() int {
-	return idSize + strSize(string(m.Dest))
-}
-func (m MigrateRequest) appendWire(b []byte) []byte {
-	b = appendID(b, m.Seg)
-	return appendStr(b, string(m.Dest))
-}
-func (m *MigrateRequest) decodeWire(r *wireReader) {
-	m.Seg = r.id()
-	m.Dest = NodeID(r.str())
 }
 
 func (PRead) wireTag() uint16 { return tagPRead }

@@ -367,7 +367,10 @@ type SegShadow struct {
 	// Prepare folds the index leg of a commit into this one request (2PC
 	// with the vote piggy-backed on the last write): the shadow is opened or
 	// renewed, its whole content becomes Data, and it is prepared exactly as
-	// by Prepare2PC. Commit2PC and Abort2PC finish it as usual.
+	// by Prepare2PC. Commit2PC and Abort2PC finish it as usual. The
+	// participant keeps version BaseVer until a commit is based past it: if
+	// the namespace never records this commit, BaseVer is what it still
+	// names.
 	Prepare bool
 	Data    []byte
 }
@@ -414,12 +417,6 @@ type SegRenew struct {
 	TTLSec float64
 }
 
-// SegDrop discards an uncommitted shadow.
-type SegDrop struct {
-	Owner string
-	Seg   ids.SegID
-}
-
 // SegDelete removes a segment and all its versions.
 type SegDelete struct{ Seg ids.SegID }
 
@@ -431,37 +428,37 @@ type SegPin struct {
 	Unpin   bool
 }
 
-// SegStat asks for a segment's local state.
-type SegStat struct{ Seg ids.SegID }
-
-// SegStatResp describes the local copy.
-type SegStatResp struct {
-	OK      bool
-	Version uint64
-	Size    int64
-	Shadow  bool // an uncommitted shadow exists
-}
-
-// SegFetch retrieves a whole segment version (replica sync, repair,
+// SegFetch retrieves a committed segment version (replica sync, repair,
 // migration, and a client's index fetch — sent to the home host first).
+// With HaveVer set the asker holds that version and takes the changes since
+// it when the answering node still keeps them (delta sync, paper §3.6: stale
+// replicas "retrieve the updates"), the whole version otherwise.
 type SegFetch struct {
 	Seg     ids.SegID
 	Version uint64 // 0 = latest committed
+	HaveVer uint64 // 0 = send the whole version
 }
 
-// SegFetchResp carries the full segment payload, or — when OK is false — no
-// payload and the owners the answering node knows of, as a redirect.
+// SegFetchResp carries the version, or — when OK is false — no payload and
+// the owners the answering node knows of, as a redirect.
 type SegFetchResp struct {
 	OK      bool
 	Err     string
 	Version uint64
-	Data    []byte
+	Size    int64 // of the version
+	// Delta says the payload is Ranges, the bytes that changed since the
+	// request's HaveVer (none when Version ≤ HaveVer); otherwise it is Data,
+	// the whole version.
+	Delta  bool
+	Ranges []DeltaRange
+	Data   []byte
 	// ReplDeg and LocalityThreshold travel with the payload so the new
 	// owner inherits the segment's policies.
 	ReplDeg           int
 	LocalityThreshold float64
-	// Sums are the commit-time per-SumBlock CRC32C sums of Data. Receivers
-	// verify before installing so corruption never propagates, and store
+	// Sums are the commit-time per-SumBlock CRC32C sums of the whole
+	// version, however it travels. Receivers verify before installing (a
+	// delta after applying it) so corruption never propagates, and store
 	// these sums (not recomputed ones) with the replica. Nil for direct
 	// (versioning-off) segments, which carry no integrity metadata.
 	Sums []uint32
@@ -475,33 +472,6 @@ type SegFetchResp struct {
 type DeltaRange struct {
 	Off  int64
 	Data []byte
-}
-
-// SegFetchDelta asks an owner for the changes needed to advance a replica
-// from HaveVer to the latest version (delta sync, paper §3.6: stale
-// replicas "retrieve the updates").
-type SegFetchDelta struct {
-	Seg     ids.SegID
-	HaveVer uint64
-}
-
-// SegFetchDeltaResp carries the update ranges, or a full payload when the
-// intermediate change sets are no longer retained.
-type SegFetchDeltaResp struct {
-	OK                bool
-	Err               string
-	Version           uint64
-	Size              int64
-	Ranges            []DeltaRange
-	FullFallback      bool
-	Full              []byte
-	ReplDeg           int
-	LocalityThreshold float64
-	// Sums are the commit-time per-SumBlock CRC32C sums of the FULL target
-	// version (whether delivered as ranges or as Full). The receiver applies
-	// the delta, then verifies the resulting buffer against these sums before
-	// committing it.
-	Sums []uint32
 }
 
 // GenericResp is a bare ok/err response shared by simple provider RPCs.
@@ -623,13 +593,6 @@ type ReplicateNotify struct {
 	ReplDeg           int
 	LocalityThreshold float64
 	Handoff           bool
-}
-
-// MigrateRequest tells a provider to hand a segment to Dest and erase the
-// local copy once Dest has it (migration = replicate + erase, §3.7.1).
-type MigrateRequest struct {
-	Seg  ids.SegID
-	Dest NodeID
 }
 
 // ---------------------------------------------------------------------------
