@@ -285,6 +285,28 @@ func FuzzDecode(f *testing.F) {
 		rep, _ := AppendReply(nil, mv.Interface(), "err")
 		f.Add(rep)
 	}
+	// Retired tag slots stay reserved: a peer still sending one must be
+	// refused, bare, in a call envelope and in a reply.
+	for tag := uint16(1); tag < tagMax; tag++ {
+		if codecTable[tag].zero != nil {
+			continue
+		}
+		bare := appendU16(nil, tag)
+		env := appendU16(appendU64(appendU64(appendStr(nil, "p1"), 1), 2), tag)
+		rep := appendU16(append(appendStr(nil, "err"), 1), tag)
+		if _, err := Decode(bare); err == nil {
+			f.Fatalf("reserved tag %d decoded", tag)
+		}
+		if _, _, _, _, err := DecodeEnvelope(env); err == nil {
+			f.Fatalf("reserved tag %d decoded in an envelope", tag)
+		}
+		if _, _, err := DecodeReply(rep); err == nil {
+			f.Fatalf("reserved tag %d decoded in a reply", tag)
+		}
+		f.Add(bare)
+		f.Add(env)
+		f.Add(rep)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
