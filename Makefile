@@ -40,7 +40,11 @@ race:
 # base, a shadow open past a stale home answer, a commit retry that replays
 # onto the versions the session was based on, a commit after one whose
 # namespace record was lost, a file read after five such commits in a row,
-# and a location table that a late update never rolls back.
+# and a location table that a late update never rolls back. Then the lent
+# request frame and the running sums: 64 pieces written back to back over
+# TCP must commit and verify as written, serving a 1 MiB SegWrite must not
+# allocate its payload (-race), and every commit shape must keep its sums
+# true to its bytes.
 regress:
 	go test ./internal/cluster -run 'TestGrowingFileAcrossManySegments$$' -count=200
 	go test ./internal/cluster -run 'TestNamespaceWALRecoversAfterMidCommitCrash$$' -count=300
@@ -48,6 +52,9 @@ regress:
 	go test ./internal/cluster -run 'TestAtomicAppendConcurrent$$' -race -count=200
 	go test ./internal/core -run 'TestCommitPublishesPastAStaleCoLocatedReplica$$|TestCommitRefusesAnIndexPlanBehindTheBase$$|TestShadowOpenProbesPastAStaleHomeAnswer$$|TestCommitRetryReplaysOntoTheBaseVersions$$|TestCommitAfterALostNamespaceRecord$$|TestReadAfterManyLostNamespaceRecords$$' -count=200
 	go test ./internal/locate -run 'TestUpdateNeverLowersVersion$$' -count=200
+	go test ./internal/core -run 'TestTCPBackToBackWritesKeepTheirBytes$$' -count=50
+	go test ./internal/transport -run 'TestTCPServeLendsTheRequestFrame$$' -race -count=20
+	go test ./internal/segstore -run 'TestCommitPathsMatchFlatModel$$|TestExtentRunningSums$$|TestSizedShadowCommitsOneBuffer$$' -count=20
 
 # Non-test Go lines per package outside benchmark/ — the number ROADMAP's
 # "least code" aim is judged by, so "net-negative" is a command, not a claim.
@@ -75,14 +82,14 @@ bench-harness:
 	go test -run XXX -bench 'BenchmarkFabricParallelPairs' ./internal/simnet
 
 # One RPC over loopback TCP on a pooled connection: ns/op and allocs/op for
-# a namespace-sized call, a 12 KiB SegWrite and a 1 MiB SegReadResp, the
-# last decoded to fresh memory and into a reply buffer.
+# a namespace-sized call, a 12 KiB and a 1 MiB SegWrite and a 1 MiB
+# SegReadResp, the last decoded to fresh memory and into a reply buffer.
 bench-transport:
 	go test -run XXX -bench 'BenchmarkTCPCall' -benchmem ./internal/transport
 
 # A provider's foreground write path for one segment: a 2 MiB data segment
-# written front to back in 256 KiB pieces and committed, and a 12 KiB index
-# segment replaced whole. MB/s, B/op and allocs/op name the layer when the
+# written front to back in 256 KiB pieces and committed, its Prepare and
+# CommitPrepared timed alone, and a 12 KiB index segment replaced whole. MB/s, B/op and allocs/op name the layer when the
 # benchmark's bulk-host write_MB_per_s or commit_p50_ms moves.
 bench-segstore:
 	go test -run XXX -bench 'BenchmarkCommitSequential' -benchmem ./internal/segstore

@@ -659,6 +659,14 @@ func (f *File) ensureShadow(ref layout.SegRef, segIdx int) (wire.NodeID, error) 
 // at the version the index references; a new segment is placed, and re-placed
 // on an alternate when the placed node will not answer.
 func (f *File) openShadow(ref layout.SegRef, segIdx int) (wire.NodeID, error) {
+	// A new segment's shadow carries its capacity, so that the provider can
+	// give a sequential writer one buffer of the final size.
+	var hint int64
+	if ref.Version == 0 {
+		f.mu.Lock()
+		hint = f.idx.SegCapacity(segIdx)
+		f.mu.Unlock()
+	}
 	var node wire.NodeID
 	shadowOn := func(n wire.NodeID) ([]wire.OwnerInfo, bool, error) {
 		resp, err := f.c.call(n, wire.SegShadow{
@@ -667,6 +675,7 @@ func (f *File) openShadow(ref layout.SegRef, segIdx int) (wire.NodeID, error) {
 			TTLSec:            f.c.cfg.ShadowTTL.Seconds(),
 			ReplDeg:           f.attrs.ReplDeg,
 			LocalityThreshold: f.attrs.LocalityThreshold,
+			SizeHint:          hint,
 		})
 		if r, ok := resp.(wire.SegShadowResp); err == nil && (!ok || !r.OK) {
 			err = fmt.Errorf("core: shadow %s on %s: %s", ref.ID.Short(), n, r.Err)

@@ -2,7 +2,9 @@ package core
 
 // Tests for the bulk read path: what ReadAt leaves in the caller's buffer
 // (simulated fabric), and, over real loopback TCP, that a piece's reply is
-// decoded straight into that buffer and still verified and failed over.
+// decoded straight into that buffer and still verified and failed over;
+// and for the bulk write path over TCP, that pieces served from a reused
+// request frame commit as written.
 
 import (
 	"bytes"
@@ -266,5 +268,45 @@ func TestTCPReadFailsOverPastRottenReplica(t *testing.T) {
 	}
 	if detected() == before {
 		t.Fatal("no read reached a rotten replica; the test exercised nothing")
+	}
+}
+
+// TestTCPBackToBackWritesKeepTheirBytes: 64 distinct 256 KiB pieces written
+// back to back into one provider over TCP. The provider serves each from its
+// pooled request frame, and the next piece reuses that frame, so a handler
+// that kept an alias to a payload would commit another piece's bytes. The
+// commit, a read-back and every segment's verification against its
+// commit-time sums must all see the bytes written.
+func TestTCPBackToBackWritesKeepTheirBytes(t *testing.T) {
+	const piece = 256 << 10
+	cl, provs := tcpDeployment(t, 1)
+	attrs := stripedAttrs(4, piece, 64*piece)
+	f, err := cl.Create("/back-to-back", attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, attrs.DeclaredSize)
+	for i := 0; i < 64; i++ {
+		p := want[i*piece : (i+1)*piece]
+		pattern(p, int64(i)*7) // a different phase of the pattern per piece
+		if _, err := f.WriteAt(p, int64(i*piece)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readInto(t, cl, "/back-to-back", len(want)); !bytes.Equal(got, want) {
+		t.Fatal("file read back differs from the pieces written")
+	}
+	r, err := cl.Open("/back-to-back")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, ref := range r.idx.Segs {
+		if !provs[0].Store().VerifyVersion(ref.ID, ref.Version) {
+			t.Fatalf("segment %s v%d does not match its commit-time sums", ref.ID.Short(), ref.Version)
+		}
 	}
 }

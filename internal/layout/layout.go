@@ -153,8 +153,9 @@ func NewIndex(attrs wire.FileAttrs, sizing Sizing, newID func() ids.SegID) (*Ind
 // IsAttached reports whether the file payload lives inside the index.
 func (x *Index) IsAttached() bool { return x.HasAttached }
 
-// segCapacity returns the capacity of segment i under the index's mode.
-func (x *Index) segCapacity(i int) int64 {
+// SegCapacity returns the capacity in bytes of segment i under the index's
+// mode: the most it can ever hold.
+func (x *Index) SegCapacity(i int) int64 {
 	switch x.Mode {
 	case wire.Linear:
 		return x.Sizing.SegmentSize(i)
@@ -188,7 +189,7 @@ func (x *Index) mapRange(off, n int64) []Piece {
 	case wire.Linear:
 		var cum int64
 		for i := range x.Segs {
-			cap := x.segCapacity(i)
+			cap := x.SegCapacity(i)
 			lo, hi := cum, cum+cap
 			if off+n > lo && off < hi {
 				a := max64(off, lo)
@@ -309,7 +310,7 @@ func (x *Index) Plan(off, n int64, newID func() ids.SegID) ([]Piece, error) {
 func (x *Index) linearCapacity() int64 {
 	var cum int64
 	for i := range x.Segs {
-		cum += x.segCapacity(i)
+		cum += x.SegCapacity(i)
 	}
 	return cum
 }

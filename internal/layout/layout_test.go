@@ -262,7 +262,7 @@ func TestMappingCoversRangeExactly(t *testing.T) {
 				if p.SegIdx < 0 || p.SegIdx >= len(idx.Segs) || p.N <= 0 || p.Off < 0 {
 					return false
 				}
-				if p.Off+p.N > idx.segCapacity(p.SegIdx) {
+				if p.Off+p.N > idx.SegCapacity(p.SegIdx) {
 					return false
 				}
 				total += p.N

@@ -142,7 +142,8 @@ func (p *Provider) handleRead(from wire.NodeID, m wire.SegRead) wire.SegReadResp
 	return wire.SegReadResp{Err: err.Error()}
 }
 
-// handleCreate materializes a new segment placed on this node.
+// handleCreate materializes a new segment placed on this node. m.Data is
+// lent (transport.Handler): Create and Install each keep a copy.
 func (p *Provider) handleCreate(from wire.NodeID, m wire.SegCreate) wire.SegCreateResp {
 	p.charge()
 	ver := m.Version
@@ -163,6 +164,9 @@ func (p *Provider) handleCreate(from wire.NodeID, m wire.SegCreate) wire.SegCrea
 	return wire.SegCreateResp{OK: true}
 }
 
+// handleShadow opens a session's shadow, or with m.Prepare replaces its
+// content and prepares it. m.Data is lent (transport.Handler):
+// ReplaceAndPrepare copies it into the shadow's extent.
 func (p *Provider) handleShadow(m wire.SegShadow) wire.SegShadowResp {
 	p.charge()
 	replDeg := m.ReplDeg
@@ -182,13 +186,17 @@ func (p *Provider) handleShadow(m wire.SegShadow) wire.SegShadowResp {
 		}
 		return wire.SegShadowResp{OK: true, NewVer: planned, Size: int64(len(m.Data))}
 	}
-	created, size, err := p.store.Shadow(m.Owner, m.Seg, m.BaseVer, ttl, replDeg, m.LocalityThreshold)
+	created, size, err := p.store.ShadowSized(m.Owner, m.Seg, m.BaseVer, m.SizeHint, ttl, replDeg, m.LocalityThreshold)
 	if err != nil {
 		return wire.SegShadowResp{Err: err.Error()}
 	}
 	return wire.SegShadowResp{OK: true, Size: size, Created: created}
 }
 
+// handleWrite applies one piece of a session's writes. m.Data is lent
+// (transport.Handler; over TCP it is the request frame itself): WriteShadow
+// copies it into the shadow's extent, WriteDirect into the version, and
+// nothing else keeps it.
 func (p *Provider) handleWrite(from wire.NodeID, m wire.SegWrite) wire.SegWriteResp {
 	p.charge()
 	if m.Direct {

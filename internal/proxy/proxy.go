@@ -408,6 +408,11 @@ func (p *Proxy) invalidate(path string) {
 // ---------------------------------------------------------------------------
 // Writes
 
+// handleWrite applies a thin client's write to its session. m.Data is lent
+// (transport.Handler): WriteAt copies it into the session's journal
+// (journalWrite) or the attached payload (growAttachedLocked), and every
+// SegWrite it sends with it is encoded, or copied by the provider, before
+// WriteAt returns.
 func (p *Proxy) handleWrite(m wire.PWrite) wire.PWriteResp {
 	s, err := p.sessionFor(m)
 	if err != nil {

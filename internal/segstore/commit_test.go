@@ -54,6 +54,36 @@ func BenchmarkCommitSequential(b *testing.B) {
 			}
 		}
 	})
+	// The commit alone: Prepare and CommitPrepared of the same 2 MiB shadow,
+	// its writes untimed. What a sequential segment's commit costs the
+	// provider's critical path (no CRC pass: its sums were taken as the
+	// pieces landed).
+	b.Run("2MiB_commit", func(b *testing.B) {
+		st := newStore(b)
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			seg := ids.New()
+			if _, _, err := st.ShadowSized("w", seg, 0, int64(len(payload)), 0, 1, 0); err != nil {
+				b.Fatal(err)
+			}
+			writeSequential(b, st, "w", seg, payload, 256<<10)
+			b.StartTimer()
+			if _, _, err := st.Prepare("w", seg); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := st.CommitPrepared("w", seg); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := st.Delete(seg); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 	b.Run("12KiB_replace", func(b *testing.B) {
 		st := newStore(b)
 		index := payload[:12<<10]
@@ -103,20 +133,32 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 		base    int            // committed version 1 of this many bytes; 0 = new segment
 		commits [][]commitStep // one write session per commit
 		adopt   bool           // whether the LAST commit may keep the shadow's buffer
+		// running: the LAST commit's content is one extent at offset 0, so
+		// its sums must be the slice the shadow kept as the bytes landed,
+		// never a fresh wire.SumsOf.
+		running bool
 	}{
-		{"sequential whole segment", 0, [][]commitStep{seqWrites(8, 8*K)}, true},
-		{"pieces out of order", 0, [][]commitStep{{{off: 16 * K, n: 8 * K}, {off: 0, n: 8 * K}, {off: 8 * K, n: 8 * K}, {off: 24 * K, n: 8 * K}}}, true},
-		{"hole", 0, [][]commitStep{{{off: 0, n: 4 * K}, {off: 8 * K, n: 4 * K}}}, false},
-		{"overwrite of a piece", 0, [][]commitStep{append(seqWrites(4, 4*K), commitStep{off: 4 * K, n: 4 * K})}, true},
-		{"partial overwrite of a base", 32 * K, [][]commitStep{{{off: 4 * K, n: 4 * K}}}, false},
-		{"whole overwrite of a base", 16 * K, [][]commitStep{{{off: 0, n: 16 * K}}}, true},
-		{"appends past a base", 8 * K, [][]commitStep{{{off: 8 * K, n: 4 * K}, {off: 12 * K, n: 4 * K}}}, false},
-		{"shrink then regrow", 32 * K, [][]commitStep{{{replace: true, n: 8 * K}}, {{off: 16 * K, n: 4 * K}}}, false},
-		{"replace twice", 16 * K, [][]commitStep{{{replace: true, n: 20 * K}, {replace: true, n: 12 * K}}}, false},
-		{"replace with nothing", 4 * K, [][]commitStep{{{replace: true, n: 0}}}, false},
-		{"one past a power of two", 0, [][]commitStep{append(seqWrites(8, 8*K), commitStep{off: 64 * K, n: 1})}, false},
-		{"slack exactly an eighth", 0, [][]commitStep{{{off: 0, n: 58255}}}, true},
-		{"slack one byte over an eighth", 0, [][]commitStep{{{off: 0, n: 58254}}}, false},
+		{"sequential whole segment", 0, [][]commitStep{seqWrites(8, 8*K)}, true, true},
+		{"pieces out of order", 0, [][]commitStep{{{off: 16 * K, n: 8 * K}, {off: 0, n: 8 * K}, {off: 8 * K, n: 8 * K}, {off: 24 * K, n: 8 * K}}}, true, true},
+		{"hole", 0, [][]commitStep{{{off: 0, n: 4 * K}, {off: 8 * K, n: 4 * K}}}, false, false},
+		{"overwrite of a piece", 0, [][]commitStep{append(seqWrites(4, 4*K), commitStep{off: 4 * K, n: 4 * K})}, true, true},
+		{"partial overwrite of a base", 32 * K, [][]commitStep{{{off: 4 * K, n: 4 * K}}}, false, false},
+		{"whole overwrite of a base", 16 * K, [][]commitStep{{{off: 0, n: 16 * K}}}, true, true},
+		{"appends past a base", 8 * K, [][]commitStep{{{off: 8 * K, n: 4 * K}, {off: 12 * K, n: 4 * K}}}, false, false},
+		{"shrink then regrow", 32 * K, [][]commitStep{{{replace: true, n: 8 * K}}, {{off: 16 * K, n: 4 * K}}}, false, false},
+		{"replace twice", 16 * K, [][]commitStep{{{replace: true, n: 20 * K}, {replace: true, n: 12 * K}}}, false, true},
+		{"replace with nothing", 4 * K, [][]commitStep{{{replace: true, n: 0}}}, false, false},
+		{"one past a power of two", 0, [][]commitStep{append(seqWrites(8, 8*K), commitStep{off: 64 * K, n: 1})}, false, true},
+		{"slack exactly an eighth", 0, [][]commitStep{{{off: 0, n: 58255}}}, true, true},
+		{"slack one byte over an eighth", 0, [][]commitStep{{{off: 0, n: 58254}}}, false, true},
+		// Shapes that would commit a stale running sum if a write did not cut
+		// the sums back to its own block first.
+		{"appends then an overwrite inside the extent", 0, [][]commitStep{append(seqWrites(2, 256*K), commitStep{off: 8 * K, n: 4 * K})}, true, true},
+		{"appends then an overwrite across a block edge", 0, [][]commitStep{append(seqWrites(4, 64*K), commitStep{off: 100 * K, n: 60 * K})}, true, true},
+		{"appends not aligned to a block", 0, [][]commitStep{seqWrites(5, 58254)}, false, true},
+		{"appends then a replace", 0, [][]commitStep{append(seqWrites(3, 96*K), commitStep{replace: true, n: 70 * K})}, false, true},
+		{"truncation then regrowth from 0", 0, [][]commitStep{seqWrites(4, 64*K), {{replace: true, n: 100 * K}}, seqWrites(4, 64*K)}, true, true},
+		{"truncation then regrowth past the end", 0, [][]commitStep{seqWrites(4, 64*K), {{replace: true, n: 100 * K}}, {{off: 100 * K, n: 64 * K}, {off: 164 * K, n: 64 * K}}}, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,8 +189,11 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 						dirty = append(dirty, make([]bool, n-len(dirty))...)
 					}
 				}
+				// No TTL: the store's clock runs 10^4 times faster than the
+				// wall, so a modeled minute is 6 ms, which a race-detector
+				// run of the larger cases outlasts.
 				if !steps[0].replace {
-					if _, _, err := src.Shadow("w", seg, 0, time.Minute, 1, 0); err != nil {
+					if _, _, err := src.Shadow("w", seg, 0, 0, 1, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -156,7 +201,7 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 					data := make([]byte, s.n)
 					rnd.Read(data)
 					if s.replace {
-						if _, err := src.ReplaceAndPrepare("w", seg, 0, data, time.Minute, 1, 0); err != nil {
+						if _, err := src.ReplaceAndPrepare("w", seg, 0, data, 0, 1, 0); err != nil {
 							t.Fatal(err)
 						}
 						model, dirty = model[:0], dirty[:0]
@@ -183,6 +228,7 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 				if e := src.segs[seg].shadows["w"].ext.exts; len(e) == 1 {
 					shadowBuf = &e[0].data[0]
 				}
+				running := src.segs[seg].shadows["w"].ext.sums
 				if v, size, err := src.CommitPrepared("w", seg); err != nil || v != planned || size != int64(len(model)) {
 					t.Fatalf("commit %d: CommitPrepared = v%d size %d err %v", ci, v, size, err)
 				}
@@ -193,6 +239,9 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 				if ci == len(tc.commits)-1 {
 					if adopted := len(stored) > 0 && &stored[0] == shadowBuf; adopted != tc.adopt {
 						t.Errorf("version adopted the shadow's buffer: %v, want %v", adopted, tc.adopt)
+					}
+					if kept := sameArray(src.segs[seg].sums[planned], running); kept != tc.running {
+						t.Errorf("version kept the shadow's running sums: %v, want %v", kept, tc.running)
 					}
 				}
 
@@ -206,6 +255,9 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 				}
 				if !src.VerifyVersion(seg, 0) {
 					t.Fatalf("commit %d: stored bytes do not match their sums", ci)
+				}
+				if ver != 0 && !src.VerifyVersion(seg, ver) {
+					t.Fatalf("commit %d: the kept previous version v%d no longer matches its sums", ci, ver)
 				}
 				var want []rng
 				for i := 0; i < len(dirty); i++ {
@@ -235,7 +287,12 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 					t.Errorf("commit %d: disk used %d, want %d", ci, u, used)
 				}
 
-				if ver != 0 {
+				if ver == 0 {
+					// A new segment's first version reaches the replica whole.
+					if err := dst.Install(seg, planned, r.Data, r.Sums, 1, 0); err != nil {
+						t.Fatalf("commit %d: Install: %v", ci, err)
+					}
+				} else {
 					d, err := src.Fetch(seg, 0, ver)
 					if err != nil || !d.Delta {
 						t.Fatalf("commit %d: Fetch since v%d: delta=%v err %v, want ranges", ci, ver, d.Delta, err)
@@ -251,6 +308,12 @@ func TestCommitPathsMatchFlatModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sameArray reports whether a and b share a backing array (both have
+// room for at least one element).
+func sameArray(a, b []uint32) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // TestAdoptedVersionSurvivesPoolChurn pins the ownership rule of a commit
@@ -340,6 +403,46 @@ func TestCommitSequentialDoesNotAllocateTheSegment(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("Prepare+CommitPrepared of a sequential 2 MiB segment allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
+// TestSizedShadowCommitsOneBuffer: a shadow opened with its segment's
+// capacity as the size hint takes a 1 MiB segment written as four 256 KiB
+// pieces into one buffer, and the commit keeps that buffer and the sums
+// taken as the pieces landed.
+func TestSizedShadowCommitsOneBuffer(t *testing.T) {
+	st := newStore(t)
+	seg := ids.New()
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(9)).Read(data)
+	if _, _, err := st.ShadowSized("w", seg, 0, 1<<20, 0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	sh := st.segs[seg].shadows["w"]
+	var first *byte
+	for off := 0; off < len(data); off += 256 << 10 {
+		if _, err := st.WriteShadow("w", seg, int64(off), data[off:off+256<<10]); err != nil {
+			t.Fatal(err)
+		}
+		if off == 0 {
+			first = &sh.ext.exts[0].data[0]
+		}
+	}
+	running := sh.ext.sums
+	if len(sh.ext.exts) != 1 || &sh.ext.exts[0].data[0] != first {
+		t.Fatalf("four pieces moved out of the first piece's buffer (%d extents)", len(sh.ext.exts))
+	}
+	if _, _, err := st.Prepare("w", seg); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.CommitPrepared("w", seg); err != nil {
+		t.Fatal(err)
+	}
+	if v := st.segs[seg].versions[1]; &v[0] != first || !bytes.Equal(v, data) {
+		t.Error("the version is not the shadow's one buffer")
+	}
+	if !sameArray(st.segs[seg].sums[1], running) || !st.VerifyVersion(seg, 1) {
+		t.Error("the version's sums are not the running ones, or do not match")
 	}
 }
 

@@ -3,6 +3,8 @@ package segstore
 import (
 	"slices"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // extent is one contiguous written range of a copy-on-write shadow.
@@ -22,6 +24,16 @@ type extentMap struct {
 	exts      []extent
 	baseLimit int64 // -1 (via limited flag) means no truncation yet
 	limited   bool
+	// sums are the running wire.SumBlock sums of the leading complete blocks
+	// of exts[0] while it starts at offset 0 (empty otherwise), taken right
+	// after the bytes were copied in, while they are hot. A sequential
+	// writer's commit then needs only the last partial block summed (see
+	// commitSums).
+	sums []uint32
+	// hint is the size the first buffer of a write at offset 0 is given (the
+	// segment's layout capacity, SegShadow.SizeHint), so a sequential writer
+	// never outgrows it; 0 sizes it to the write.
+	hint int
 }
 
 // write inserts data at off, replacing any overlapped ranges. The payload is
@@ -31,6 +43,13 @@ func (m *extentMap) write(off int64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
+	// Blocks from off's on may change: their sums go. Keeping one would let
+	// an overwrite inside the one extent at 0 commit under a sum of the bytes
+	// it replaced.
+	if k := int(off / wire.SumBlock); k < len(m.sums) {
+		m.sums = m.sums[:k]
+	}
+	defer m.extendSums(off, off+int64(len(data)))
 	// A sequential writer starts exactly where the last extent ends: append
 	// into that extent's spare capacity, moving it to one larger pooled
 	// buffer when that runs out, so the payload is copied once.
@@ -47,6 +66,9 @@ func (m *extentMap) write(off int64, data []byte) {
 	}
 	end := off + int64(len(data))
 	newExt := extent{off: off, data: poolGet(len(data))}
+	if off == 0 && m.hint > len(data) {
+		newExt.data = poolGet(m.hint)[:len(data)]
+	}
 	copy(newExt.data, data)
 	// The list is sorted and non-overlapping, so the extents the write
 	// overlaps are one run exts[i:j], which repl replaces.
@@ -72,6 +94,44 @@ func (m *extentMap) write(off int64, data []byte) {
 		}
 	}
 	m.exts = m.coalesce(slices.Replace(m.exts, i, j, repl...))
+}
+
+// extendSums sums the complete blocks of exts[0] that the write [off, end)
+// just filled, when the running sums reach off's block: a sequential writer's
+// blocks are summed once each, as they land. A write that starts past the
+// summed blocks leaves them as they are, and so does one into an extent that
+// does not start at 0; commitSums finishes the job at commit. Bounding the
+// pass by end keeps each write's CRC work to its own bytes, however often a
+// rewrite near offset 0 cuts the sums back.
+func (m *extentMap) extendSums(off, end int64) {
+	if len(m.exts) == 0 || m.exts[0].off != 0 || int64(len(m.sums)) != off/wire.SumBlock {
+		return
+	}
+	d := m.exts[0].data
+	if m.sums == nil {
+		m.sums = make([]uint32, 0, max(len(d), m.hint)/wire.SumBlock+1)
+	}
+	lim := min(end, int64(len(d)))
+	for k := int64(len(m.sums)); (k+1)*wire.SumBlock <= lim; k++ {
+		m.sums = append(m.sums, wire.SumOf(d[k*wire.SumBlock:(k+1)*wire.SumBlock]))
+	}
+	// Room for the partial block commitSums adds, so the version keeps this
+	// very slice.
+	m.sums = slices.Grow(m.sums, 1)
+}
+
+// commitSums returns the block sums of exts[0], which the caller has checked
+// is the shadow's whole content: the running sums plus whatever blocks they
+// do not cover yet (for a sequential writer, the last partial block). The
+// map gives the slice up.
+func (m *extentMap) commitSums() []uint32 {
+	d := m.exts[0].data
+	sums := m.sums
+	m.sums = nil
+	for k := len(sums) * wire.SumBlock; k < len(d); k += wire.SumBlock {
+		sums = append(sums, wire.SumOf(d[k:min(k+wire.SumBlock, len(d))]))
+	}
+	return sums[:len(sums):len(sums)]
 }
 
 // coalesce merges adjacent extents to bound the index size, recycling the
@@ -155,6 +215,9 @@ func (m *extentMap) read(off int64, dst []byte, base []byte) {
 // truncate drops written bytes at or beyond size and returns how many
 // covered bytes were released.
 func (m *extentMap) truncate(size int64) int64 {
+	if k := int(size / wire.SumBlock); k < len(m.sums) {
+		m.sums = m.sums[:k]
+	}
 	if !m.limited || size < m.baseLimit {
 		m.limited = true
 		m.baseLimit = size
@@ -187,6 +250,7 @@ func (m *extentMap) release() {
 		poolPut(e.data)
 	}
 	m.exts = nil
+	m.sums = nil
 }
 
 // writtenBytes returns the total bytes the shadow has materialized.

@@ -3,8 +3,11 @@ package segstore
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
 )
 
 func TestExtentWriteAndRead(t *testing.T) {
@@ -180,4 +183,73 @@ func TestExtentEmptyWrite(t *testing.T) {
 	if len(m.exts) != 0 {
 		t.Error("empty write left an extent")
 	}
+}
+
+// TestExtentRunningSums drives random writes and truncations at block scale
+// and checks the running sums after every step: they cover only complete
+// blocks of an extent at offset 0 and match those bytes, and commitSums of a
+// one-extent map equals wire.SumsOf of its content.
+func TestExtentRunningSums(t *testing.T) {
+	const B = wire.SumBlock
+	rnd := rand.New(rand.NewSource(5))
+	for round := 0; round < 200; round++ {
+		m := extentMap{hint: []int{0, 3 * B, 8 * B}[round%3]}
+		var flat []byte
+		for step := 0; step < 12; step++ {
+			var off int64 // a write at 0 half the time there is nothing yet
+			switch k := rnd.Intn(4); {
+			case len(m.exts) > 0 && k < 2:
+				off = m.maxEnd() // a sequential append
+			case len(m.exts) > 0 || k < 2:
+				off = int64(rnd.Intn(6 * B))
+			}
+			if rnd.Intn(8) == 0 {
+				m.truncate(off)
+				flat = flat[:min(int64(len(flat)), off)]
+			} else {
+				data := make([]byte, 1+rnd.Intn(2*B))
+				rnd.Read(data)
+				m.write(off, data)
+				if end := off + int64(len(data)); int64(len(flat)) < end {
+					flat = append(flat, make([]byte, end-int64(len(flat)))...)
+				}
+				copy(flat[off:], data)
+			}
+			if len(m.sums) > 0 && (m.exts[0].off != 0 || len(m.sums) > len(m.exts[0].data)/B) {
+				t.Fatalf("round %d step %d: %d running sums past the complete blocks of an extent at 0", round, step, len(m.sums))
+			}
+			for k, sum := range m.sums {
+				if sum != wire.SumOf(flat[k*B:(k+1)*B]) {
+					t.Fatalf("round %d step %d: running sum of block %d is stale", round, step, k)
+				}
+			}
+		}
+		if len(m.exts) == 1 && m.exts[0].off == 0 {
+			if got, want := m.commitSums(), wire.SumsOf(m.exts[0].data); !slices.Equal(got, want) {
+				t.Fatalf("round %d: commitSums = %v, want %v", round, got, want)
+			}
+		}
+		m.release()
+	}
+}
+
+// TestExtentSizeHintTakesOneBuffer: a 1 MiB segment written as four 256 KiB
+// pieces into a shadow hinted at its capacity lands in the first piece's
+// buffer and never moves, and its sums are taken piece by piece.
+func TestExtentSizeHintTakesOneBuffer(t *testing.T) {
+	const piece = 256 << 10
+	m := extentMap{hint: 1 << 20}
+	data := bytes.Repeat([]byte{7}, piece)
+	m.write(0, data)
+	first := &m.exts[0].data[0]
+	for i := 1; i < 4; i++ {
+		m.write(int64(i*piece), data)
+		if len(m.sums) != (i+1)*piece/wire.SumBlock {
+			t.Fatalf("after piece %d: %d running sums, want %d", i, len(m.sums), (i+1)*piece/wire.SumBlock)
+		}
+	}
+	if len(m.exts) != 1 || &m.exts[0].data[0] != first || cap(m.exts[0].data) != 1<<20 {
+		t.Fatalf("four pieces took %d extents; first buffer kept: %v; cap %d", len(m.exts), &m.exts[0].data[0] == first, cap(m.exts[0].data))
+	}
+	m.release()
 }

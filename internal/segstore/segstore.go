@@ -153,19 +153,24 @@ func (st *Store) sealVersionLocked(s *segment, ver uint64, buf, prev []byte, sum
 	s.versions[ver] = st.injectWriteFaultLocked(prev, buf)
 }
 
-// sealVerifiedLocked is sealVersionLocked for FOREGROUND commit writes
-// (Create, CommitPrepared): the 2PC participant read-back-verifies the burst
-// before acknowledging — the write retries until the media took it clean, so
-// an acknowledged commit's original copy always matches its sums. Without
-// this, a write fault striking the sole not-yet-replicated copy of a fresh
-// commit would silently destroy acknowledged data with nothing to repair
-// from. (Background replication skips the read-back for throughput; the
-// scrubber is its backstop.)
-func (st *Store) sealVerifiedLocked(s *segment, ver uint64, buf []byte) {
+// sealVerifiedLocked records buf as version ver for FOREGROUND commit writes
+// (Create, CommitPrepared), with sums that describe buf (computed from it when
+// nil). Unlike sealVersionLocked it does not route the bytes through the
+// write-fault injector: the fault model lets a foreground commit write land
+// clean, which stands in for a 2PC participant that would read the burst back
+// before acknowledging. No read-back pass is made or charged. Without the
+// exemption, a write fault striking the sole not-yet-replicated copy of a
+// fresh commit would silently destroy acknowledged data with nothing to
+// repair from. Background writes (replica install, delta sync) take the
+// faults; the scrubber is their backstop.
+func (st *Store) sealVerifiedLocked(s *segment, ver uint64, buf []byte, sums []uint32) {
 	if s.sums == nil {
 		s.sums = make(map[uint64][]uint32)
 	}
-	s.sums[ver] = wire.SumsOf(buf)
+	if sums == nil {
+		sums = wire.SumsOf(buf)
+	}
+	s.sums[ver] = sums
 	s.versions[ver] = buf
 }
 
@@ -235,7 +240,7 @@ func (st *Store) Create(seg ids.SegID, data []byte, replDeg int, locThresh float
 		// Direct segments are patched in place and carry no sums.
 		s.versions[1] = buf
 	} else {
-		st.sealVerifiedLocked(s, 1, buf)
+		st.sealVerifiedLocked(s, 1, buf, nil)
 	}
 	st.segs[seg] = s
 	return nil
@@ -272,8 +277,18 @@ func (st *Store) Install(seg ids.SegID, ver uint64, data []byte, sums []uint32, 
 
 // Shadow opens (or renews) a copy-on-write shadow of the segment's baseVer
 // for the given session. For a new segment (not yet present) the base is
-// empty and the segment record is created with the supplied policies.
+// empty and the segment record is created with the supplied policies. It is
+// ShadowSized without a size hint.
 func (st *Store) Shadow(owner string, seg ids.SegID, baseVer uint64, ttl time.Duration, replDeg int, locThresh float64) (created bool, size int64, err error) {
+	return st.ShadowSized(owner, seg, baseVer, 0, ttl, replDeg, locThresh)
+}
+
+// ShadowSized is Shadow for a writer that knows how large the segment can
+// grow (its layout capacity): a shadow it opens gives the first write at
+// offset 0 a buffer of sizeHint bytes, capped at the largest pooled class,
+// so that a sequential writer never outgrows it. Renewing an open shadow
+// leaves its hint as it was.
+func (st *Store) ShadowSized(owner string, seg ids.SegID, baseVer uint64, sizeHint int64, ttl time.Duration, replDeg int, locThresh float64) (created bool, size int64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s, ok := st.segs[seg]
@@ -304,6 +319,7 @@ func (st *Store) Shadow(owner string, seg ids.SegID, baseVer uint64, ttl time.Du
 	s.shadows[owner] = &shadow{
 		base:   baseVer,
 		size:   baseSize,
+		ext:    extentMap{hint: int(min(max(sizeHint, 0), 1<<maxPoolClass))},
 		expiry: st.expiryLocked(ttl),
 	}
 	return true, baseSize, nil
@@ -552,19 +568,26 @@ func (st *Store) CommitPrepared(owner string, seg ids.SegID) (ver uint64, size i
 		ch = append(ch, rng{off: lo, end: sh.size})
 	}
 	var buf []byte
-	if e := sh.ext.exts; len(e) == 1 && e[0].off == 0 && e[0].end() == sh.size && int64(cap(e[0].data))-sh.size <= sh.size/8 {
-		// One extent is the whole content, so the base contributes nothing:
-		// the shadow's buffer IS the version. It leaves the pool for good
-		// (readers alias versions; nothing may ever poolPut one), which the
-		// slack bound keeps to at most 1.125x a version's bytes held.
-		buf = e[0].data[:sh.size:sh.size]
-		sh.ext.exts = nil
-	} else {
+	var sums []uint32
+	if e := sh.ext.exts; len(e) == 1 && e[0].off == 0 && e[0].end() == sh.size {
+		// One extent is the whole content, so the base contributes nothing,
+		// and its running sums are the version's (finished by commitSums).
+		// With little enough slack the shadow's buffer IS the version: it
+		// leaves the pool for good (readers alias versions; nothing may ever
+		// poolPut one), which the slack bound keeps to at most 1.125x a
+		// version's bytes held.
+		sums = sh.ext.commitSums()
+		if int64(cap(e[0].data))-sh.size <= sh.size/8 {
+			buf = e[0].data[:sh.size:sh.size]
+			sh.ext.exts = nil
+		}
+	}
+	if buf == nil {
 		buf = make([]byte, sh.size)
 		sh.ext.read(0, buf, base)
 		sh.ext.release()
 	}
-	st.sealVerifiedLocked(s, sh.planned, buf)
+	st.sealVerifiedLocked(s, sh.planned, buf, sums)
 	if s.changes == nil {
 		s.changes = make(map[uint64][]rng)
 	}
@@ -625,7 +648,9 @@ func (st *Store) consolidateLocked(s *segment) {
 }
 
 // Read returns up to n bytes of a committed version (0 = latest) starting
-// at off, along with the version served.
+// at off, along with the version served. It is ReadSum without the sum, and
+// nothing in the program calls it: it stays because the benchmark's segstore
+// probe (benchmark/probes.go, a separate frozen module) does.
 func (st *Store) Read(seg ids.SegID, ver uint64, off, n int64) ([]byte, uint64, error) {
 	data, ver, _, err := st.ReadSum(seg, ver, off, n)
 	return data, ver, err

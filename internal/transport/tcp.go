@@ -21,10 +21,15 @@ import (
 // reply is a prefixed wire.AppendReply body (error string plus optional
 // tagged message). UDP multicast datagrams are the envelope body without the
 // prefix — the datagram boundary already frames it. Frame buffers come from
-// bufpool and are recycled as soon as the body is decoded: the codec copies
-// all payloads out of the input, to fresh memory except for a
+// bufpool. The server decodes a request as a view of its frame
+// (wire.DecodeEnvelopeView): payloads alias the frame, which goes back to
+// the pool only after the handler has returned and the reply is written, so
+// a request payload is copied once, by the handler that keeps it (see
+// Handler.HandleCall). A reply frame is recycled as soon as it is decoded:
+// the codec copies every payload out of it, to fresh memory except for a
 // SegReadResp.Data that fits the reply buffer the call's context carries
-// (WithReplyBuffer), which is copied straight into that buffer.
+// (WithReplyBuffer), which is copied straight into that buffer. Datagrams
+// are decoded to copies, since their handlers may hand messages on.
 //
 // Connections: a TCP connection carries any number of request/reply pairs,
 // strictly one at a time. The caller takes an idle connection to the peer
@@ -500,9 +505,10 @@ func (n *TCPNode) serve(raw net.Conn) {
 		if err != nil {
 			return
 		}
-		from, trace, span, req, err := wire.DecodeEnvelope(fbuf)
-		bufpool.Put(fbuf)
+		// req's payloads alias fbuf until the turn ends.
+		from, trace, span, req, err := wire.DecodeEnvelopeView(fbuf)
 		if err != nil || n.closed.Load() {
+			bufpool.Put(fbuf)
 			return
 		}
 		if from != learned {
@@ -540,6 +546,7 @@ func (n *TCPNode) serve(raw net.Conn) {
 		}
 		bufpool.Put(rbuf)
 		n.srv.Observe(req, int(conn.wr-wr0), int(conn.rd-rd0), time.Since(start), herr)
+		bufpool.Put(fbuf)
 		if err != nil {
 			return
 		}

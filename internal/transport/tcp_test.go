@@ -457,9 +457,47 @@ func TestTCPReplyLandsInReplyBuffer(t *testing.T) {
 	}
 }
 
+// TestTCPServeLendsTheRequestFrame: the server decodes a request as a view
+// of its pooled frame, so serving a 1 MiB SegWrite allocates no payload —
+// the handler gets the frame's bytes and the frame goes back to the pool
+// after the reply. The bound is on the least any of the calls allocates (a
+// call that finds a frame pool emptied by the GC refills it); the whole call
+// is counted, client side included, so it bounds the server's share too.
+func TestTCPServeLendsTheRequestFrame(t *testing.T) {
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 13)
+	}
+	var sum atomic.Uint32 // the race detector cannot see the socket order
+	srv := listen(t, CallFunc(func(_ context.Context, _ wire.NodeID, req any) (any, error) {
+		w := req.(wire.SegWrite)
+		sum.Store(wire.SumOf(w.Data))
+		return wire.SegWriteResp{OK: true, N: len(w.Data)}, nil
+	}))
+	cli := listen(t, &tcpEcho{})
+	req := wire.SegWrite{Owner: "127.0.0.1:7001#1", Seg: [16]byte{1}, Data: big}
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 20; i++ {
+		runtime.ReadMemStats(&before)
+		resp, err := cli.Call(context.Background(), srv.ID(), req)
+		runtime.ReadMemStats(&after)
+		if err != nil || resp.(wire.SegWriteResp).N != len(big) || sum.Load() != wire.SumOf(big) {
+			t.Fatalf("call %d: %v %+v; handler saw other bytes: %v", i, err, resp, sum.Load() != wire.SumOf(big))
+		}
+		if i > 0 { // the first call dials
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if least >= 64<<10 {
+		t.Fatalf("serving a 1 MiB SegWrite allocates at least %d bytes, want < 64 KiB", least)
+	}
+}
+
 // BenchmarkTCPCall measures one call over loopback on a pooled connection:
-// a namespace-sized request and reply, a 12 KiB segment write, and a 1 MiB
-// segment read reply, decoded to fresh memory and into a reply buffer.
+// a namespace-sized request and reply, a 12 KiB and a 1 MiB segment write
+// (served from the request frame itself), and a 1 MiB segment read reply,
+// decoded to fresh memory and into a reply buffer.
 func BenchmarkTCPCall(b *testing.B) {
 	small := make([]byte, 12<<10)
 	big := make([]byte, 1<<20)
@@ -469,7 +507,7 @@ func BenchmarkTCPCall(b *testing.B) {
 		case wire.NSLookup:
 			return wire.NSLookupResp{OK: true}, nil
 		case wire.SegWrite:
-			return wire.SegWriteResp{OK: true, N: len(small)}, nil
+			return wire.SegWriteResp{OK: true, N: len(req.(wire.SegWrite).Data)}, nil
 		default:
 			return readResp, nil
 		}
@@ -484,6 +522,7 @@ func BenchmarkTCPCall(b *testing.B) {
 	}{
 		{"small", context.Background(), wire.NSLookup{Path: "/c0/g1/f0000001"}, 0},
 		{"SegWrite_12KiB", context.Background(), wire.SegWrite{Owner: "127.0.0.1:7001#1", Seg: [16]byte{1}, Data: small}, len(small)},
+		{"SegWrite_1MiB", context.Background(), wire.SegWrite{Owner: "127.0.0.1:7001#1", Seg: [16]byte{1}, Data: big}, len(big)},
 		{"SegReadResp_1MiB", context.Background(), wire.SegRead{Seg: [16]byte{1}, Length: 1 << 20}, len(big)},
 		{"SegReadResp_1MiB_into", into, wire.SegRead{Seg: [16]byte{1}, Length: 1 << 20}, len(big)},
 	} {

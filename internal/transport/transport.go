@@ -30,6 +30,15 @@ type Handler interface {
 	// HandleCall services a request and returns the response. from is the
 	// host node the request originated on (co-located clients report their
 	// host provider, which is what locality-driven migration needs).
+	//
+	// A request's []byte fields are lent, on every transport: on the
+	// simulated fabric they alias the sender's memory, and over TCP they
+	// alias the pooled frame the request arrived in, which is reused once
+	// HandleCall has returned and its reply is written. A handler must not
+	// modify them, and must copy whatever it keeps past its return,
+	// including into anything it starts that outlives the call. The
+	// response may alias the request: it is encoded before the frame is
+	// reused.
 	HandleCall(ctx context.Context, from wire.NodeID, req any) (any, error)
 	// HandleCast receives a multicast message. It must not block for long;
 	// implementations fan out to goroutines for slow work.

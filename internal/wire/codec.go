@@ -5,10 +5,11 @@ package wire
 // EncodedSize for pre-sizing from internal/bufpool); decode allocates the
 // boxed message plus one copy per string, payload and slice field, so the
 // result never aliases the input buffer (DecodeReplyInto lands a
-// SegReadResp's payload in a buffer of the caller's instead). It is shared
-// by both transports:
-// the TCP transport frames real bytes with it, and the simulated fabric
-// charges NIC time for exactly the bytes it would produce (SizeOf).
+// SegReadResp's payload in a buffer of the caller's instead, and
+// DecodeEnvelopeView leaves every []byte payload in the input). It is shared
+// by both transports: the TCP transport frames real bytes with it, and the
+// simulated fabric charges NIC time for exactly the bytes it would produce
+// (SizeOf).
 //
 // Wire format: 2-byte little-endian type tag, then the message's fields in
 // declaration order. Fixed-width little-endian integers, IEEE-754 bit
@@ -156,8 +157,12 @@ func Append(b []byte, msg any) ([]byte, error) {
 // self-contained: payload bytes are copied out of data, so the caller may
 // recycle data immediately. Trailing bytes are an error.
 func Decode(data []byte) (any, error) {
-	r := wireReader{b: data}
-	msg, err := decodeTagged(&r)
+	return decodeWhole(&wireReader{b: data})
+}
+
+// decodeWhole decodes the one message r holds; trailing bytes are an error.
+func decodeWhole(r *wireReader) (any, error) {
+	msg, err := decodeTagged(r)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +207,20 @@ func EnvelopeSize(from NodeID, msg any) (int, bool) {
 // DecodeEnvelope decodes a call envelope. The message is self-contained
 // (payloads copied), so the caller may recycle data.
 func DecodeEnvelope(data []byte) (from NodeID, trace, span uint64, msg any, err error) {
-	r := wireReader{b: data}
+	return decodeEnvelope(wireReader{b: data})
+}
+
+// DecodeEnvelopeView is DecodeEnvelope for a caller that keeps data intact
+// and unchanged for as long as it uses the message: every []byte field
+// aliases data instead of being copied out of it (strings and every other
+// slice are still copies). The TCP server decodes requests this way and
+// recycles the frame only after the handler has returned and the reply is
+// written, so a request payload is copied once, by whatever keeps it.
+func DecodeEnvelopeView(data []byte) (from NodeID, trace, span uint64, msg any, err error) {
+	return decodeEnvelope(wireReader{b: data, view: true})
+}
+
+func decodeEnvelope(r wireReader) (from NodeID, trace, span uint64, msg any, err error) {
 	from = NodeID(r.str())
 	trace = r.u64()
 	span = r.u64()
@@ -452,6 +470,8 @@ type wireReader struct {
 	// into is the caller's reply buffer (DecodeReplyInto); only
 	// SegReadResp.Data decodes into it.
 	into []byte
+	// view makes byte slices alias b instead of copying (DecodeEnvelopeView).
+	view bool
 }
 
 func (r *wireReader) remaining() int { return len(r.b) - r.off }
@@ -524,8 +544,8 @@ func (r *wireReader) str() string {
 	return string(s)
 }
 
-// bytes decodes a byte slice as a private copy; a zero length decodes as
-// nil.
+// bytes decodes a byte slice as a private copy, or as a capacity-clipped
+// view of the input for a view reader; a zero length decodes as nil.
 func (r *wireReader) bytes() []byte { return r.bytesInto(nil) }
 
 // bytesInto is bytes copying into dst[:n] when the n decoded bytes fit.
@@ -537,6 +557,9 @@ func (r *wireReader) bytesInto(dst []byte) []byte {
 	s := r.take(n)
 	if r.bad {
 		return nil
+	}
+	if r.view {
+		return s[:n:n]
 	}
 	if n <= len(dst) {
 		return dst[:copy(dst, s):n]
@@ -1153,7 +1176,7 @@ func (m *SegCreateResp) decodeWire(r *wireReader) {
 
 func (SegShadow) wireTag() uint16 { return tagSegShadow }
 func (m SegShadow) encodedSize() int {
-	return strSize(m.Owner) + idSize + numSize*4 + boolSize + bytesSize(m.Data)
+	return strSize(m.Owner) + idSize + numSize*5 + boolSize + bytesSize(m.Data)
 }
 func (m SegShadow) appendWire(b []byte) []byte {
 	b = appendStr(b, m.Owner)
@@ -1162,6 +1185,7 @@ func (m SegShadow) appendWire(b []byte) []byte {
 	b = appendF64(b, m.TTLSec)
 	b = appendInt(b, m.ReplDeg)
 	b = appendF64(b, m.LocalityThreshold)
+	b = appendI64(b, m.SizeHint)
 	b = appendBool(b, m.Prepare)
 	return appendBytes(b, m.Data)
 }
@@ -1172,6 +1196,7 @@ func (m *SegShadow) decodeWire(r *wireReader) {
 	m.TTLSec = r.f64()
 	m.ReplDeg = r.int_()
 	m.LocalityThreshold = r.f64()
+	m.SizeHint = r.i64()
 	m.Prepare = r.bool_()
 	m.Data = r.bytes()
 }

@@ -310,7 +310,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if msg, err := Decode(data); err == nil {
+		msg, err := Decode(data)
+		if err == nil {
 			// Anything that decodes must re-encode to the same bytes.
 			re, err := Append(nil, msg)
 			if err != nil {
@@ -320,9 +321,63 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("decode/re-encode of %T not canonical:\nin:  %x\nout: %x", msg, data, re)
 			}
 		}
-		_, _, _, _, _ = DecodeEnvelope(data)
+		// The view decoder (payloads alias the input) must accept exactly
+		// what the copying decoder accepts, and decode the same message.
+		// Messages are compared re-encoded: a NaN field is not DeepEqual to
+		// itself.
+		view, verr := decodeWhole(&wireReader{b: data, view: true})
+		if (err == nil) != (verr == nil) || !sameEncoding(t, msg, view) {
+			t.Fatalf("view decode (%T, %v) differs from copying decode (%T, %v)", view, verr, msg, err)
+		}
+		from, trace, span, msg, err := DecodeEnvelope(data)
+		vfrom, vtrace, vspan, view, verr := DecodeEnvelopeView(data)
+		if (err == nil) != (verr == nil) || from != vfrom || trace != vtrace || span != vspan || !sameEncoding(t, msg, view) {
+			t.Fatalf("view envelope (%q %d %d %T, %v) differs from copying envelope (%q %d %d %T, %v)",
+				vfrom, vtrace, vspan, view, verr, from, trace, span, msg, err)
+		}
 		_, _, _ = DecodeReply(data)
 	})
+}
+
+// sameEncoding reports whether a and b are both nil or encode to the same
+// bytes.
+func sameEncoding(t *testing.T, a, b any) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	ea, err := Append(nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := Append(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ea, eb)
+}
+
+// TestDecodeEnvelopeViewAliasesPayloads: a view-decoded request's payload
+// is the frame's own bytes, clipped so an append cannot run into the rest
+// of the frame; DecodeEnvelope still copies.
+func TestDecodeEnvelopeViewAliasesPayloads(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xAB}, 300)
+	frame, err := AppendEnvelope(nil, "p1", 1, 2, SegWrite{Owner: "o", Data: payload, Direct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, msg, err := DecodeEnvelopeView(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := msg.(SegWrite)
+	at := bytes.Index(frame, payload)
+	if !bytes.Equal(w.Data, payload) || &w.Data[0] != &frame[at] || cap(w.Data) != len(payload) || !w.Direct {
+		t.Fatalf("view payload does not alias the frame clipped to its length (cap %d)", cap(w.Data))
+	}
+	_, _, _, msg, _ = DecodeEnvelope(frame)
+	if c := msg.(SegWrite); &c.Data[0] == &frame[at] {
+		t.Fatal("DecodeEnvelope aliased the frame")
+	}
 }
 
 // ---------------------------------------------------------------------------

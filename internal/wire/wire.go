@@ -364,6 +364,10 @@ type SegShadow struct {
 	// shadow creates a brand-new segment.
 	ReplDeg           int
 	LocalityThreshold float64
+	// SizeHint is the new segment's layout capacity (0 when unknown or the
+	// segment exists): the provider gives the first write at offset 0 a
+	// buffer that large, so a sequential writer never outgrows it.
+	SizeHint int64
 	// Prepare folds the index leg of a commit into this one request (2PC
 	// with the vote piggy-backed on the last write): the shadow is opened or
 	// renewed, its whole content becomes Data, and it is prepared exactly as
